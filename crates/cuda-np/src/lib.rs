@@ -59,6 +59,6 @@ pub use mapping::{ThreadMap, MASTER_ID, SLAVE_ID};
 pub use options::{LocalArrayStrategy, NpOptions, TransformError};
 pub use transform::{transform, TransformReport, Transformed};
 pub use tuner::{
-    autotune, autotune_with_policy, LaunchFailure, PolicyTuneResult, TuneCandidate, TuneEntry,
-    TuneError, TuneOutcome, TuneResult,
+    autotune_with_policy, LaunchFailure, PolicyTuneResult, TuneCandidate, TuneEntry, TuneError,
+    TuneOutcome, TuneResult,
 };

@@ -176,7 +176,7 @@ fn gen_request(rng: &mut SmallRng, client: usize, n: u64) -> (String, String) {
     };
     let mut line = format!(
         "{{\"id\":\"c{client}-{n}\",\"kernel\":\"{}\",\"grid\":{grid}",
-        super::json::escape(&variant_kernel(v))
+        np_obs::json::escape(&variant_kernel(v))
     );
     if tune {
         line.push_str(",\"mode\":\"tune\"");

@@ -32,10 +32,12 @@
 pub mod cache;
 pub mod chaos;
 pub mod client;
-pub mod json;
 pub mod metrics;
 pub mod proto;
 pub mod server;
+
+/// The wire format's JSON, kept at this path for downstream importers.
+pub use np_obs::json;
 
 pub use cache::{cache_key, CacheKey};
 pub use chaos::ChaosConfig;

@@ -15,7 +15,7 @@
 //!    "latency_us":1234,"result":{...}}
 //! ```
 
-use super::json::{escape, Json};
+use np_obs::json::{escape, Json};
 use crate::costmodel::TunePolicy;
 use crate::options::NpOptions;
 use crate::tuner::{PolicyTuneResult, TuneOutcome};

@@ -748,7 +748,7 @@ __global__ void tmv(float* a, float* b, float* c, int w, int h) {
     fn line(id: &str, extra: &str) -> String {
         format!(
             "{{\"id\":\"{id}\",\"kernel\":\"{}\"{extra}}}",
-            super::super::json::escape(OK_KERNEL)
+            np_obs::json::escape(OK_KERNEL)
         )
     }
 

@@ -275,10 +275,10 @@ pub fn candidates_from_pragmas(kernel: &Kernel, max_block_threads: u32) -> Vec<T
     out
 }
 
-/// Evaluate every candidate and return the fastest. `make_args` builds the
-/// launch arguments for one transformed kernel (it must allocate the
-/// `extra_global_buffers` named in the transform report — helper:
-/// [`alloc_extra_buffers`]).
+/// Evaluate the candidates `policy` selects and return the fastest.
+/// `make_args` builds the launch arguments for one transformed kernel (it
+/// must allocate the `extra_global_buffers` named in the transform report —
+/// helper: [`alloc_extra_buffers`]).
 ///
 /// Candidates whose transform is rejected, whose generated kernel faults
 /// under the sanitizer, or whose launch fails are recorded as typed
@@ -286,44 +286,16 @@ pub fn candidates_from_pragmas(kernel: &Kernel, max_block_threads: u32) -> Vec<T
 /// candidates and errors only if *every* candidate fails (or the set is
 /// empty). A worker thread dying never aborts the run: its candidate is
 /// recorded as failed.
-pub fn autotune(
-    kernel: &Kernel,
-    dev: &DeviceConfig,
-    grid: Dim3,
-    make_args: &(dyn Fn(&Transformed) -> Args + Sync),
-    sim: &SimOptions,
-    candidates: &[TuneCandidate],
-) -> Result<TuneResult, TuneError> {
-    if candidates.is_empty() {
-        return Err(TuneError::NoCandidates);
-    }
-    let _tune_span = np_obs::span("tune");
-    let all: Vec<usize> = (0..candidates.len()).collect();
-    let mut evals = evaluate_indices(kernel, dev, grid, make_args, sim, candidates, &all);
-
-    let mut slots: Vec<Option<EvalSlot>> = Vec::new();
-    let mut entries: Vec<TuneEntry> = Vec::new();
-    for (cand, cell) in candidates.iter().zip(evals.drain(..)) {
-        let (outcome, slot) = cell;
-        record_outcome(cand, &outcome);
-        entries.push(entry_of(cand, outcome, slot.as_ref()));
-        slots.push(slot);
-    }
-
-    finish(entries, slots)
-}
-
-/// Evaluate only the candidates the cost model keeps, falling back to the
-/// rest of the sweep on a model miss — the safety net that makes `Pruned`
-/// and `Predict` unable to return a slower winner than the candidates they
-/// evaluated could justify.
 ///
-/// Under [`TunePolicy::Exhaustive`] this is exactly [`autotune`] (same
-/// simulations, same observability log) plus the policy bookkeeping.
+/// [`TunePolicy::Exhaustive`] evaluates every candidate and emits no
+/// `tune.policy` events. The other policies evaluate only the candidates
+/// the cost model keeps, falling back to the rest of the sweep on a model
+/// miss — the safety net that makes `Pruned` and `Predict` unable to return
+/// a slower winner than the candidates they evaluated could justify.
 /// `Pruned { margin }` evaluates the statically-scored shortlist;
 /// `Predict` evaluates the predicted winner as a pilot, refines the model
 /// with the pilot's measured counters, then evaluates the refined
-/// shortlist. In every policy the fallback triggers when the evaluated set
+/// shortlist. In both the fallback triggers when the evaluated set
 /// produced no runnable winner, or when the measured winner was the
 /// *worst*-predicted of the evaluated set (an inverted model is not to be
 /// trusted about the candidates it skipped).
@@ -341,30 +313,20 @@ pub fn autotune_with_policy(
     }
     let model = CostModel::from_kernel(kernel, dev);
     let ranking = model.rank(candidates);
-
-    if policy.is_exhaustive() {
-        let result = autotune(kernel, dev, grid, make_args, sim, candidates)?;
-        let predicted_rank = ranking.iter().position(|&i| i == result.best_index);
-        return Ok(PolicyTuneResult {
-            evaluated: result.entries.len(),
-            skipped: 0,
-            fell_back: false,
-            predicted_rank,
-            policy,
-            result,
-        });
-    }
+    let narrowing = !policy.is_exhaustive();
 
     let _tune_span = np_obs::span("tune");
-    np_obs::event(
-        np_obs::Level::Debug,
-        "tune.policy",
-        vec![np_obs::kv("policy", policy.label())],
-    );
+    if narrowing {
+        np_obs::event(
+            np_obs::Level::Debug,
+            "tune.policy",
+            vec![np_obs::kv("policy", policy.label())],
+        );
+    }
 
     // Round 1: the policy's kept set, in candidate order.
     let keep: Vec<usize> = match policy {
-        TunePolicy::Exhaustive => unreachable!("handled above"),
+        TunePolicy::Exhaustive => (0..candidates.len()).collect(),
         TunePolicy::Pruned { margin } => model.keep_within(candidates, margin),
         TunePolicy::Predict => {
             // Pilot = the model's static first choice (best finite score).
@@ -392,7 +354,7 @@ pub fn autotune_with_policy(
     // and evaluate the refined shortlist (usually 1-2 more candidates).
     // The refined model also prices promotions below, so the pilot's
     // counters inform which skipped candidates still look threatening.
-    let mut scoring = model.clone();
+    let mut scoring = model;
     if matches!(policy, TunePolicy::Predict) {
         if let Some(&pilot) = keep.first() {
             if let Some((TuneOutcome::Ok { .. }, Some(slot))) = &evaluated[pilot] {
@@ -432,35 +394,37 @@ pub fn autotune_with_policy(
             .min()
     };
     let mut fell_back = false;
-    loop {
-        match measured_best_cycles(&evaluated) {
-            None => {
-                fell_back = true;
-                let rest: Vec<usize> = (0..candidates.len()).collect();
-                run_round(&rest, &mut evaluated);
-                break;
-            }
-            Some(best_cycles) => {
-                let max_ratio = (0..candidates.len())
-                    .filter_map(|i| match &evaluated[i] {
-                        Some((TuneOutcome::Ok { cycles }, _)) if *cycles > 0 => {
-                            let s = scoring.score(&candidates[i]);
-                            s.is_finite().then_some(s / *cycles as f64)
-                        }
-                        _ => None,
-                    })
-                    .fold(0.0f64, f64::max);
-                let threshold = best_cycles as f64 * max_ratio * PROMOTE_SAFETY;
-                let promote: Vec<usize> = (0..candidates.len())
-                    .filter(|&i| {
-                        evaluated[i].is_none()
-                            && scoring.score(&candidates[i]) < threshold
-                    })
-                    .collect();
-                if promote.is_empty() {
+    if narrowing {
+        loop {
+            match measured_best_cycles(&evaluated) {
+                None => {
+                    fell_back = true;
+                    let rest: Vec<usize> = (0..candidates.len()).collect();
+                    run_round(&rest, &mut evaluated);
                     break;
                 }
-                run_round(&promote, &mut evaluated);
+                Some(best_cycles) => {
+                    let max_ratio = (0..candidates.len())
+                        .filter_map(|i| match &evaluated[i] {
+                            Some((TuneOutcome::Ok { cycles }, _)) if *cycles > 0 => {
+                                let s = scoring.score(&candidates[i]);
+                                s.is_finite().then_some(s / *cycles as f64)
+                            }
+                            _ => None,
+                        })
+                        .fold(0.0f64, f64::max);
+                    let threshold = best_cycles as f64 * max_ratio * PROMOTE_SAFETY;
+                    let promote: Vec<usize> = (0..candidates.len())
+                        .filter(|&i| {
+                            evaluated[i].is_none()
+                                && scoring.score(&candidates[i]) < threshold
+                        })
+                        .collect();
+                    if promote.is_empty() {
+                        break;
+                    }
+                    run_round(&promote, &mut evaluated);
+                }
             }
         }
     }
@@ -480,15 +444,17 @@ pub fn autotune_with_policy(
         entries.push(entry_of(cand, outcome, slot.as_ref()));
         slots.push(slot);
     }
-    np_obs::event(
-        np_obs::Level::Debug,
-        "tune.policy.summary",
-        vec![
-            np_obs::kv("evaluated", n_evaluated as u64),
-            np_obs::kv("skipped", (candidates.len() - n_evaluated) as u64),
-            np_obs::kv("fell_back", if fell_back { "true" } else { "false" }),
-        ],
-    );
+    if narrowing {
+        np_obs::event(
+            np_obs::Level::Debug,
+            "tune.policy.summary",
+            vec![
+                np_obs::kv("evaluated", n_evaluated as u64),
+                np_obs::kv("skipped", (candidates.len() - n_evaluated) as u64),
+                np_obs::kv("fell_back", if fell_back { "true" } else { "false" }),
+            ],
+        );
+    }
     let result = finish(entries, slots)?;
     let predicted_rank = ranking.iter().position(|&i| i == result.best_index);
     Ok(PolicyTuneResult {
@@ -696,6 +662,19 @@ mod tests {
     use np_kernel_ir::expr::dsl::*;
     use np_kernel_ir::KernelBuilder;
 
+    /// The exhaustive sweep under full simulation options.
+    fn tune_all(
+        k: &Kernel,
+        dev: &DeviceConfig,
+        grid: Dim3,
+        make_args: &(dyn Fn(&Transformed) -> Args + Sync),
+        candidates: &[TuneCandidate],
+    ) -> Result<TuneResult, TuneError> {
+        let sim = SimOptions::full();
+        autotune_with_policy(k, dev, grid, make_args, &sim, candidates, TunePolicy::Exhaustive)
+            .map(|p| p.result)
+    }
+
     fn kernel_with_pragma(text: &str) -> Kernel {
         let mut b = KernelBuilder::new("k", 64);
         b.param_global_f32("out");
@@ -762,7 +741,7 @@ mod tests {
             let n = if t.report.slave_size == 4 { 1 } else { 64 };
             alloc_extra_buffers(Args::new().buf_f32("out", vec![0.0; n]), t, grid)
         };
-        let r = autotune(&k, &dev, grid, &make_args, &SimOptions::full(), &candidates)
+        let r = tune_all(&k, &dev, grid, &make_args, &candidates)
             .expect("non-faulting candidates remain");
         let faulted: Vec<_> = r.entries.iter().filter(|e| e.fault().is_some()).collect();
         assert!(!faulted.is_empty(), "sabotaged candidates must be recorded");
@@ -785,8 +764,7 @@ mod tests {
         let make_args = |t: &Transformed| {
             alloc_extra_buffers(Args::new().buf_f32("out", vec![0.0; 64]), t, grid)
         };
-        let r = autotune(&k, &dev, grid, &make_args, &SimOptions::full(), &candidates)
-            .expect("tuning succeeds");
+        let r = tune_all(&k, &dev, grid, &make_args, &candidates).expect("tuning succeeds");
         for e in &r.entries {
             match &e.outcome {
                 TuneOutcome::Ok { .. } => {
@@ -827,7 +805,7 @@ mod tests {
             }
             alloc_extra_buffers(Args::new().buf_f32("out", vec![0.0; 64]), t, grid)
         };
-        let r = autotune(&k, &dev, grid, &make_args, &SimOptions::full(), &candidates)
+        let r = tune_all(&k, &dev, grid, &make_args, &candidates)
             .expect("surviving candidates still produce a winner");
         assert_eq!(r.entries.len(), candidates.len());
         // Entries stay in candidate order.
@@ -870,8 +848,7 @@ mod tests {
         // Every variant stores past this 1-element output buffer.
         let make_args =
             |t: &Transformed| alloc_extra_buffers(Args::new().buf_f32("out", vec![0.0; 1]), t, grid);
-        let err = autotune(&k, &dev, grid, &make_args, &SimOptions::full(), &candidates)
-            .unwrap_err();
+        let err = tune_all(&k, &dev, grid, &make_args, &candidates).unwrap_err();
         match err {
             TuneError::AllFailed(entries) => {
                 assert_eq!(entries.len(), candidates.len());
@@ -885,15 +862,7 @@ mod tests {
     fn empty_candidate_set_is_a_typed_error() {
         let dev = DeviceConfig::gtx680();
         let k = kernel_with_pragma("np parallel for reduction(+:s)");
-        let err = autotune(
-            &k,
-            &dev,
-            Dim3::x1(1),
-            &|_| Args::new(),
-            &SimOptions::full(),
-            &[],
-        )
-        .unwrap_err();
+        let err = tune_all(&k, &dev, Dim3::x1(1), &|_| Args::new(), &[]).unwrap_err();
         assert!(matches!(err, TuneError::NoCandidates));
     }
 
@@ -911,8 +880,7 @@ mod tests {
             alloc_extra_buffers(Args::new().buf_f32("out", vec![0.0; 64]), t, grid)
         };
         for _ in 0..4 {
-            let r = autotune(&k, &dev, grid, &make_args, &SimOptions::full(), &candidates)
-                .expect("tuning succeeds");
+            let r = tune_all(&k, &dev, grid, &make_args, &candidates).expect("tuning succeeds");
             let cycles: Vec<_> = r.entries.iter().map(|e| e.cycles().unwrap()).collect();
             assert_eq!(cycles[0], cycles[1]);
             assert_eq!(cycles[1], cycles[2]);
@@ -929,8 +897,7 @@ mod tests {
         let make_args = |t: &Transformed| {
             alloc_extra_buffers(Args::new().buf_f32("out", vec![0.0; 64]), t, grid)
         };
-        let r = autotune(&k, &dev, grid, &make_args, &SimOptions::full(), &candidates)
-            .expect("tuning succeeds");
+        let r = tune_all(&k, &dev, grid, &make_args, &candidates).expect("tuning succeeds");
         assert_eq!(r.entries[r.best_index].cycles(), Some(r.best_report.cycles));
         // No earlier candidate matches the winning cycles (the tie-break).
         assert!(r.entries[..r.best_index]
@@ -947,15 +914,14 @@ mod tests {
         let make_args = |t: &Transformed| {
             alloc_extra_buffers(Args::new().buf_f32("out", vec![0.0; 64]), t, grid)
         };
-        let plain = autotune(&k, &dev, grid, &make_args, &SimOptions::full(), &candidates)
-            .expect("tuning succeeds");
         let p = autotune_with_policy(
             &k, &dev, grid, &make_args, &SimOptions::full(), &candidates,
             TunePolicy::Exhaustive,
         )
         .expect("tuning succeeds");
-        assert_eq!(p.result.best_report.cycles, plain.best_report.cycles);
-        assert_eq!(p.result.best_index, plain.best_index);
+        let cycles: Vec<u64> = p.result.entries.iter().filter_map(TuneEntry::cycles).collect();
+        assert_eq!(cycles.len(), candidates.len(), "every candidate is simulated");
+        assert_eq!(Some(p.result.best_report.cycles), cycles.iter().copied().min());
         assert_eq!(p.evaluated, candidates.len());
         assert_eq!(p.skipped, 0);
         assert!(!p.fell_back);
@@ -971,7 +937,7 @@ mod tests {
         let make_args = |t: &Transformed| {
             alloc_extra_buffers(Args::new().buf_f32("out", vec![0.0; 64]), t, grid)
         };
-        let exhaustive = autotune(&k, &dev, grid, &make_args, &SimOptions::full(), &candidates)
+        let exhaustive = tune_all(&k, &dev, grid, &make_args, &candidates)
             .expect("tuning succeeds");
         for policy in [
             TunePolicy::Pruned { margin: crate::costmodel::DEFAULT_PRUNE_MARGIN },

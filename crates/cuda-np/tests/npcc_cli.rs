@@ -5,13 +5,19 @@
 use np_kernel_ir::printer::print_kernel;
 use np_workloads::{lu::Lu, mv::Mv, Scale, Workload};
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn npcc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_npcc"))
 }
 
+/// Write `w`'s printed source to a file of its own. Tests run in parallel,
+/// so a shared path could be truncated by one test while another test's
+/// npcc reads it.
 fn write_kernel(w: &dyn Workload) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("npcc_cli_{}.cu", w.name()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("npcc_cli_{n}_{}.cu", w.name()));
     std::fs::write(&path, print_kernel(&w.kernel())).expect("write kernel source");
     path
 }

@@ -10,8 +10,8 @@
 //! every event it emits, and is echoed in the wire response.
 
 use cuda_np::serve::{soak, synth_args, ChaosConfig, RetryPolicy, ServeConfig, Server, SoakConfig};
-use cuda_np::tuner::{alloc_extra_buffers, autotune, default_candidates};
-use cuda_np::{transform, NpOptions};
+use cuda_np::tuner::{alloc_extra_buffers, autotune_with_policy, default_candidates};
+use cuda_np::{transform, NpOptions, TunePolicy};
 use np_exec::SimOptions;
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::parse_kernel;
@@ -102,8 +102,16 @@ fn tuner_fork_adopt_is_deterministic() {
             let grid = Dim3::x1(4);
             let candidates = default_candidates(kernel.block_dim.x, 1024);
             let make_args = |t: &cuda_np::Transformed| alloc_extra_buffers(synth_args(&t.kernel), t, grid);
-            autotune(&kernel, &dev, grid, &make_args, &SimOptions::full(), &candidates)
-                .expect("tunes");
+            autotune_with_policy(
+                &kernel,
+                &dev,
+                grid,
+                &make_args,
+                &SimOptions::full(),
+                &candidates,
+                TunePolicy::Exhaustive,
+            )
+            .expect("tunes");
         });
         let events = rec.drain();
         np_obs::check_well_formed(&events).expect("well-formed span tree");
@@ -122,7 +130,7 @@ fn tuner_fork_adopt_is_deterministic() {
 }
 
 fn req_line(id: &str) -> String {
-    format!("{{\"id\":\"{id}\",\"kernel\":\"{}\"}}", cuda_np::serve::json::escape(TMV))
+    format!("{{\"id\":\"{id}\",\"kernel\":\"{}\"}}", np_obs::json::escape(TMV))
 }
 
 /// Every serve request — including malformed ones — gets a correlation id

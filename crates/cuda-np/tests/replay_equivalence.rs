@@ -12,13 +12,19 @@
 //! exactly once (the interpretation-count probe), and its winner's
 //! stored capture replays to the winner's exact report.
 
-use cuda_np::tuner::{alloc_extra_buffers, autotune, default_candidates};
-use cuda_np::{transform, NpOptions};
+use cuda_np::tuner::{alloc_extra_buffers, autotune_with_policy, default_candidates};
+use cuda_np::{transform, NpOptions, TunePolicy};
 use np_exec::{
     capture_launch, interpretation_count, launch, replay_launch, KernelReport,
 };
 use np_gpu_sim::{CapturedLaunch, DeviceConfig};
 use np_workloads::{all_workloads, Scale, Workload};
+use std::sync::{PoisonError, RwLock};
+
+/// The interpretation-count probe is process-global, so the test that
+/// reads it holds this lock exclusively while the tests that only launch
+/// share it: no launch of theirs can land inside the probe's window.
+static PROBE: RwLock<()> = RwLock::new(());
 
 fn dev() -> DeviceConfig {
     DeviceConfig::gtx680()
@@ -55,6 +61,7 @@ fn configs() -> Vec<NpOptions> {
 
 #[test]
 fn replay_is_byte_identical_to_direct_launch_for_all_workloads() {
+    let _shared = PROBE.read().unwrap_or_else(PoisonError::into_inner);
     let dev = dev();
     let mut checked = 0usize;
     for w in all_workloads(Scale::Test) {
@@ -140,6 +147,7 @@ fn check_one(dev: &DeviceConfig, kernel: &np_kernel_ir::Kernel, w: &dyn Workload
 /// deterministic end to end).
 #[test]
 fn autotune_winner_capture_replays_to_winner_report() {
+    let _shared = PROBE.read().unwrap_or_else(PoisonError::into_inner);
     let dev = dev();
     for w in all_workloads(Scale::Test) {
         let kernel = w.kernel();
@@ -147,15 +155,17 @@ fn autotune_winner_capture_replays_to_winner_report() {
         let opts = w.sim_options();
         let candidates = default_candidates(kernel.block_dim.x, 1024);
         let run = |_: ()| {
-            autotune(
+            autotune_with_policy(
                 &kernel,
                 &dev,
                 grid,
                 &|t| alloc_extra_buffers(w.make_args(), t, grid),
                 &opts,
                 &candidates,
+                TunePolicy::Exhaustive,
             )
             .unwrap_or_else(|e| panic!("{}: autotune failed: {e}", w.name()))
+            .result
         };
         let a = run(());
         let b = run(());
@@ -205,11 +215,11 @@ fn autotune_winner_capture_replays_to_winner_report() {
 /// The interpretation-count probe from the acceptance criteria: one
 /// autotune sweep interprets each runnable candidate exactly once —
 /// replays and report plumbing add zero interpretations. Counted with
-/// the process-global probe, so this test runs the sweep serially and
-/// tolerates no concurrent launches of its own making (the probe delta
-/// is measured around a single call).
+/// the process-global probe, so this test holds [`PROBE`] exclusively
+/// and the probe delta is measured around a single call.
 #[test]
 fn autotune_interprets_each_candidate_exactly_once() {
+    let _exclusive = PROBE.write().unwrap_or_else(PoisonError::into_inner);
     let dev = dev();
     let w = &all_workloads(Scale::Test)[0]; // MC: every candidate is runnable
     let kernel = w.kernel();
@@ -218,15 +228,17 @@ fn autotune_interprets_each_candidate_exactly_once() {
     let candidates = default_candidates(kernel.block_dim.x, 1024);
 
     let before = interpretation_count();
-    let result = autotune(
+    let result = autotune_with_policy(
         &kernel,
         &dev,
         grid,
         &|t| alloc_extra_buffers(w.make_args(), t, grid),
         &opts,
         &candidates,
+        TunePolicy::Exhaustive,
     )
-    .unwrap_or_else(|e| panic!("autotune failed: {e}"));
+    .unwrap_or_else(|e| panic!("autotune failed: {e}"))
+    .result;
     let interpreted = interpretation_count() - before;
 
     // Candidates that never reached the simulator (transform rejection)

@@ -29,7 +29,7 @@ __global__ void tmv(float* a, float* b, float* c, int w, int h) {
 ";
 
 fn line(id: &str, extra: &str) -> String {
-    format!("{{\"id\":\"{id}\",\"kernel\":\"{}\"{extra}}}", cuda_np::serve::json::escape(TMV))
+    format!("{{\"id\":\"{id}\",\"kernel\":\"{}\"{extra}}}", np_obs::json::escape(TMV))
 }
 
 /// A chaos config with every hazard off; tests arm one at a time.

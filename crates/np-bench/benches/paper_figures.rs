@@ -8,8 +8,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
-use cuda_np::tuner::{alloc_extra_buffers, autotune, default_candidates};
-use cuda_np::{transform, LocalArrayStrategy, NpOptions};
+use cuda_np::tuner::{alloc_extra_buffers, autotune_with_policy, default_candidates};
+use cuda_np::{transform, LocalArrayStrategy, NpOptions, TunePolicy};
 use np_exec::launch;
 use np_gpu_sim::DeviceConfig;
 use np_workloads::{all_workloads, le::Le, memcopy, tmv::Tmv, Scale, Workload};
@@ -125,13 +125,14 @@ fn fig13_autotune(c: &mut Criterion) {
     g.bench_function("autotune_tmv", |b| {
         b.iter(|| {
             black_box(
-                autotune(
+                autotune_with_policy(
                     &kernel,
                     &dev,
                     grid,
                     &|t| alloc_extra_buffers(w.make_args(), t, grid),
                     &w.sim_options(),
                     &candidates,
+                    TunePolicy::Exhaustive,
                 )
                 .unwrap(),
             )
@@ -260,7 +261,7 @@ fn profile_counters(c: &mut Criterion) {
 /// (`BENCH_results.json` at the repo root) from a Test-scale sweep, assert
 /// it is byte-identical across two back-to-back generations, and measure
 /// the sweep+serialize cost. CI diffs the file against the committed
-/// `BENCH_baseline.json` with tolerances.
+/// `BENCH_baseline.gtx680.json` with tolerances.
 fn bench_trajectory(c: &mut Criterion) {
     use np_harness::{runner, trajectory};
     let dev = DeviceConfig::gtx680();

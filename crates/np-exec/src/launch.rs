@@ -372,19 +372,9 @@ pub fn capture_launch(
         race: run.race,
         blocks: run.traces,
     };
-    let replayed = {
+    let report = {
         let _r = np_obs::span("exec.replay");
-        np_gpu_sim::replay::replay(dev, &cap).map_err(ExecError::Replay)?
-    };
-    let report = KernelReport {
-        kernel_name: cap.kernel_name.clone(),
-        cycles: replayed.timing.cycles,
-        time_us: dev.cycles_to_us(replayed.timing.cycles),
-        timing: replayed.timing,
-        occupancy: replayed.occupancy,
-        resources,
-        profile: replayed.profile,
-        race: cap.race.clone(),
+        replay_report(dev, &cap)?
     };
     Ok((report, cap))
 }
@@ -443,6 +433,13 @@ pub fn replay_launch(
     }
     let _obs = np_obs::span("exec.replay");
     device_event(dev);
+    replay_report(dev, cap)
+}
+
+/// Time `cap` on `dev` and build its report. [`capture_launch`] and
+/// [`replay_launch`] both report through here, so a capture's report and
+/// any later replay of it on the same device are byte-identical.
+fn replay_report(dev: &DeviceConfig, cap: &CapturedLaunch) -> Result<KernelReport, ExecError> {
     let replayed = np_gpu_sim::replay::replay(dev, cap).map_err(ExecError::Replay)?;
     Ok(KernelReport {
         kernel_name: cap.kernel_name.clone(),

@@ -15,6 +15,7 @@
 //! may move between devices.
 
 use crate::config::{DeviceConfig, DynParConfig, WARP_SIZE};
+use np_obs::json::{quote, Json};
 use std::fmt;
 use std::path::Path;
 
@@ -268,7 +269,7 @@ impl DeviceConfig {
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!("  \"schema\": \"{DEVICE_SCHEMA}\",\n"));
-        s.push_str(&format!("  \"name\": \"{}\",\n", escape(&self.name)));
+        s.push_str(&format!("  \"name\": {},\n", quote(&self.name)));
         nu(&mut s, "num_smx", self.num_smx as u64);
         nu(&mut s, "max_threads_per_block", self.max_threads_per_block as u64);
         nu(&mut s, "max_threads_per_smx", self.max_threads_per_smx as u64);
@@ -333,7 +334,7 @@ impl DeviceConfig {
         }
         let mut s = String::new();
         s.push_str(&format!("schema = \"{DEVICE_SCHEMA}\"\n"));
-        s.push_str(&format!("name = \"{}\"\n", escape(&self.name)));
+        s.push_str(&format!("name = {}\n", quote(&self.name)));
         nu(&mut s, "num_smx", self.num_smx as u64);
         nu(&mut s, "max_threads_per_block", self.max_threads_per_block as u64);
         nu(&mut s, "max_threads_per_smx", self.max_threads_per_smx as u64);
@@ -389,205 +390,50 @@ impl DeviceConfig {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Intermediate descriptor value: both parsers lower their input to this
-/// shape and the shared [`build`] step maps fields onto `DeviceConfig` with
-/// typed errors.
-#[derive(Debug, Clone)]
-enum Val {
-    Str(String),
-    Num(String),
-    Bool(bool),
-    Obj(Vec<(String, Val)>),
-}
-
 fn perr(detail: impl Into<String>) -> DeviceError {
     DeviceError::Parse { detail: detail.into() }
 }
 
-/// Parse a JSON descriptor. Hand-rolled on purpose — the workspace serde is
-/// a no-op shim, and the grammar here is a flat object with one nested
-/// `dynpar` object, strings, numbers and booleans.
+/// Parse a JSON descriptor: a flat object with one nested `dynpar` object.
 pub fn parse_json(text: &str) -> Result<DeviceConfig, DeviceError> {
-    let mut sc = Scanner { b: text.as_bytes(), i: 0 };
-    sc.ws();
-    let fields = sc.object()?;
-    sc.ws();
-    if sc.i != sc.b.len() {
-        return Err(perr("trailing bytes after descriptor object"));
-    }
-    build(fields)
-}
-
-struct Scanner<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Scanner<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), DeviceError> {
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(perr(format!("expected '{}' at byte {}", c as char, self.i)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, DeviceError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return Err(perr("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        _ => return Err(perr("unsupported string escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 is carried through byte by byte; the
-                    // input is a &str so the bytes are valid by construction.
-                    let start = self.i;
-                    while self.i < self.b.len()
-                        && self.b[self.i] != b'"'
-                        && self.b[self.i] != b'\\'
-                    {
-                        self.i += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.b[start..self.i]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Val, DeviceError> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b'{') => Ok(Val::Obj(self.object()?)),
-            Some(b't') if self.b[self.i..].starts_with(b"true") => {
-                self.i += 4;
-                Ok(Val::Bool(true))
-            }
-            Some(b'f') if self.b[self.i..].starts_with(b"false") => {
-                self.i += 5;
-                Ok(Val::Bool(false))
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                let start = self.i;
-                while self.i < self.b.len()
-                    && matches!(self.b[self.i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    self.i += 1;
-                }
-                Ok(Val::Num(String::from_utf8(self.b[start..self.i].to_vec()).unwrap()))
-            }
-            _ => Err(perr(format!("unexpected value at byte {}", self.i))),
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, Val)>, DeviceError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(fields);
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(fields);
-                }
-                _ => return Err(perr(format!("expected ',' or '}}' at byte {}", self.i))),
-            }
-        }
+    match Json::parse(text).map_err(perr)? {
+        Json::Obj(fields) => build(fields),
+        _ => Err(perr("descriptor is not a JSON object")),
     }
 }
 
 /// Parse a TOML descriptor: `key = value` lines, `#` comments, and a single
-/// optional `[dynpar]` table.
+/// optional `[dynpar]` table. Each value is read as a JSON scalar, so TOML
+/// and JSON descriptors lower to the same [`Json`] object and share one
+/// field mapper.
 pub fn parse_toml(text: &str) -> Result<DeviceConfig, DeviceError> {
-    let mut top: Vec<(String, Val)> = Vec::new();
-    let mut dynpar: Vec<(String, Val)> = Vec::new();
+    let mut top: Vec<(String, Json)> = Vec::new();
+    let mut dynpar: Vec<(String, Json)> = Vec::new();
     let mut in_dynpar = false;
     for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_toml_comment(raw).trim().to_string();
+        let line = strip_toml_comment(raw).trim();
+        let at_line = |e: String| perr(format!("line {}: {e}", lineno + 1));
         if line.is_empty() {
             continue;
         }
         if let Some(section) = line.strip_prefix('[') {
             let section = section
                 .strip_suffix(']')
-                .ok_or_else(|| perr(format!("line {}: unterminated table header", lineno + 1)))?;
+                .ok_or_else(|| at_line("unterminated table header".into()))?;
             if section.trim() != "dynpar" {
                 return Err(DeviceError::UnknownField(format!("[{}]", section.trim())));
             }
             in_dynpar = true;
             continue;
         }
-        let eq = line
-            .find('=')
-            .ok_or_else(|| perr(format!("line {}: expected `key = value`", lineno + 1)))?;
-        let key = line[..eq].trim().to_string();
-        let raw_val = line[eq + 1..].trim();
-        let val = if let Some(rest) = raw_val.strip_prefix('"') {
-            let body = rest
-                .strip_suffix('"')
-                .ok_or_else(|| perr(format!("line {}: unterminated string", lineno + 1)))?;
-            Val::Str(body.replace("\\\"", "\"").replace("\\\\", "\\"))
-        } else if raw_val == "true" {
-            Val::Bool(true)
-        } else if raw_val == "false" {
-            Val::Bool(false)
-        } else if !raw_val.is_empty() {
-            Val::Num(raw_val.to_string())
-        } else {
-            return Err(perr(format!("line {}: empty value", lineno + 1)));
-        };
-        if in_dynpar {
-            dynpar.push((key, val));
-        } else {
-            top.push((key, val));
-        }
+        let (key, raw_val) =
+            line.split_once('=').ok_or_else(|| at_line("expected `key = value`".into()))?;
+        let val = Json::parse(raw_val.trim()).map_err(at_line)?;
+        let table = if in_dynpar { &mut dynpar } else { &mut top };
+        table.push((key.trim().to_string(), val));
     }
     if !dynpar.is_empty() {
-        top.push(("dynpar".to_string(), Val::Obj(dynpar)));
+        top.push(("dynpar".to_string(), Json::Obj(dynpar)));
     }
     build(top)
 }
@@ -606,117 +452,104 @@ fn strip_toml_comment(line: &str) -> &str {
     line
 }
 
-fn take(fields: &mut Vec<(String, Val)>, key: &str) -> Option<Val> {
+fn take(fields: &mut Vec<(String, Json)>, key: &str) -> Option<Json> {
     fields.iter().position(|(k, _)| k == key).map(|i| fields.remove(i).1)
 }
 
-fn take_str(fields: &mut Vec<(String, Val)>, key: &'static str) -> Result<String, DeviceError> {
+fn bad_value(field: &'static str, v: &Json) -> DeviceError {
+    DeviceError::BadValue { field, value: format!("{v:?}") }
+}
+
+fn take_str(fields: &mut Vec<(String, Json)>, key: &'static str) -> Result<String, DeviceError> {
     match take(fields, key) {
         None => Err(DeviceError::MissingField(key)),
-        Some(Val::Str(s)) => Ok(s),
-        Some(v) => Err(DeviceError::BadValue { field: key, value: format!("{v:?}") }),
+        Some(Json::Str(s)) => Ok(s),
+        Some(v) => Err(bad_value(key, &v)),
     }
 }
 
-fn take_u32(fields: &mut Vec<(String, Val)>, key: &'static str) -> Result<u32, DeviceError> {
+/// A numeric field parsed from the number's source text, so a `u32` field
+/// takes exactly the `u32` literals (`8.0` is a `BadValue`).
+fn take_num<T: std::str::FromStr>(
+    fields: &mut Vec<(String, Json)>,
+    key: &'static str,
+) -> Result<T, DeviceError> {
     match take(fields, key) {
         None => Err(DeviceError::MissingField(key)),
-        Some(Val::Num(raw)) => {
+        Some(Json::Num(raw)) => {
             raw.parse().map_err(|_| DeviceError::BadValue { field: key, value: raw })
         }
-        Some(v) => Err(DeviceError::BadValue { field: key, value: format!("{v:?}") }),
+        Some(v) => Err(bad_value(key, &v)),
     }
 }
 
-fn take_u64(fields: &mut Vec<(String, Val)>, key: &'static str) -> Result<u64, DeviceError> {
+fn take_bool(fields: &mut Vec<(String, Json)>, key: &'static str) -> Result<bool, DeviceError> {
     match take(fields, key) {
         None => Err(DeviceError::MissingField(key)),
-        Some(Val::Num(raw)) => {
-            raw.parse().map_err(|_| DeviceError::BadValue { field: key, value: raw })
-        }
-        Some(v) => Err(DeviceError::BadValue { field: key, value: format!("{v:?}") }),
+        Some(Json::Bool(b)) => Ok(b),
+        Some(v) => Err(bad_value(key, &v)),
     }
 }
 
-fn take_f64(fields: &mut Vec<(String, Val)>, key: &'static str) -> Result<f64, DeviceError> {
-    match take(fields, key) {
-        None => Err(DeviceError::MissingField(key)),
-        Some(Val::Num(raw)) => {
-            raw.parse().map_err(|_| DeviceError::BadValue { field: key, value: raw })
-        }
-        Some(v) => Err(DeviceError::BadValue { field: key, value: format!("{v:?}") }),
-    }
-}
-
-fn take_bool(fields: &mut Vec<(String, Val)>, key: &'static str) -> Result<bool, DeviceError> {
-    match take(fields, key) {
-        None => Err(DeviceError::MissingField(key)),
-        Some(Val::Bool(b)) => Ok(b),
-        Some(v) => Err(DeviceError::BadValue { field: key, value: format!("{v:?}") }),
-    }
-}
-
-fn build(mut fields: Vec<(String, Val)>) -> Result<DeviceConfig, DeviceError> {
+fn build(mut fields: Vec<(String, Json)>) -> Result<DeviceConfig, DeviceError> {
     if let Some(v) = take(&mut fields, "schema") {
         match v {
-            Val::Str(s) if s == DEVICE_SCHEMA => {}
-            Val::Str(s) => return Err(DeviceError::BadSchema(s)),
-            other => {
-                return Err(DeviceError::BadValue { field: "schema", value: format!("{other:?}") })
-            }
+            Json::Str(s) if s == DEVICE_SCHEMA => {}
+            Json::Str(s) => return Err(DeviceError::BadSchema(s)),
+            other => return Err(bad_value("schema", &other)),
         }
     }
     let dynpar = match take(&mut fields, "dynpar") {
         None => Err(DeviceError::MissingField("dynpar")),
-        Some(Val::Obj(mut inner)) => {
+        Some(Json::Obj(mut inner)) => {
             let d = DynParConfig {
-                enabled_overhead: take_f64(&mut inner, "enabled_overhead")?,
-                launch_overhead_cycles: take_u64(&mut inner, "launch_overhead_cycles")?,
-                launch_parallelism: take_u32(&mut inner, "launch_parallelism")?,
-                global_handoff_cycles: take_u64(&mut inner, "global_handoff_cycles")?,
+                enabled_overhead: take_num(&mut inner, "enabled_overhead")?,
+                launch_overhead_cycles: take_num(&mut inner, "launch_overhead_cycles")?,
+                launch_parallelism: take_num(&mut inner, "launch_parallelism")?,
+                global_handoff_cycles: take_num(&mut inner, "global_handoff_cycles")?,
             };
             if let Some((k, _)) = inner.first() {
                 return Err(DeviceError::UnknownField(format!("dynpar.{k}")));
             }
             Ok(d)
         }
-        Some(v) => Err(DeviceError::BadValue { field: "dynpar", value: format!("{v:?}") }),
+        Some(v) => Err(bad_value("dynpar", &v)),
     }?;
     let dev = DeviceConfig {
         name: take_str(&mut fields, "name")?,
-        num_smx: take_u32(&mut fields, "num_smx")?,
-        max_threads_per_block: take_u32(&mut fields, "max_threads_per_block")?,
-        max_threads_per_smx: take_u32(&mut fields, "max_threads_per_smx")?,
-        max_blocks_per_smx: take_u32(&mut fields, "max_blocks_per_smx")?,
-        registers_per_smx: take_u32(&mut fields, "registers_per_smx")?,
-        max_registers_per_thread: take_u32(&mut fields, "max_registers_per_thread")?,
-        register_alloc_granularity: take_u32(&mut fields, "register_alloc_granularity")?,
-        shared_mem_per_smx: take_u32(&mut fields, "shared_mem_per_smx")?,
-        shared_alloc_granularity: take_u32(&mut fields, "shared_alloc_granularity")?,
-        l1_bytes: take_u32(&mut fields, "l1_bytes")?,
-        l1_line: take_u32(&mut fields, "l1_line")?,
-        l1_assoc: take_u32(&mut fields, "l1_assoc")?,
-        tex_cache_bytes: take_u32(&mut fields, "tex_cache_bytes")?,
-        l2_bytes: take_u32(&mut fields, "l2_bytes")?,
-        l2_assoc: take_u32(&mut fields, "l2_assoc")?,
-        l2_latency: take_u32(&mut fields, "l2_latency")?,
-        mem_queue_depth: take_u32(&mut fields, "mem_queue_depth")?,
-        issue_per_cycle: take_u32(&mut fields, "issue_per_cycle")?,
-        alu_latency: take_u32(&mut fields, "alu_latency")?,
-        sfu_latency: take_u32(&mut fields, "sfu_latency")?,
-        global_latency: take_u32(&mut fields, "global_latency")?,
-        dram_bytes_per_cycle: take_u32(&mut fields, "dram_bytes_per_cycle")?,
-        txn_bytes: take_u32(&mut fields, "txn_bytes")?,
-        shared_latency: take_u32(&mut fields, "shared_latency")?,
-        shared_replay_cost: take_u32(&mut fields, "shared_replay_cost")?,
-        l1_hit_latency: take_u32(&mut fields, "l1_hit_latency")?,
-        const_latency: take_u32(&mut fields, "const_latency")?,
-        const_serialize_cost: take_u32(&mut fields, "const_serialize_cost")?,
-        shfl_latency: take_u32(&mut fields, "shfl_latency")?,
+        num_smx: take_num(&mut fields, "num_smx")?,
+        max_threads_per_block: take_num(&mut fields, "max_threads_per_block")?,
+        max_threads_per_smx: take_num(&mut fields, "max_threads_per_smx")?,
+        max_blocks_per_smx: take_num(&mut fields, "max_blocks_per_smx")?,
+        registers_per_smx: take_num(&mut fields, "registers_per_smx")?,
+        max_registers_per_thread: take_num(&mut fields, "max_registers_per_thread")?,
+        register_alloc_granularity: take_num(&mut fields, "register_alloc_granularity")?,
+        shared_mem_per_smx: take_num(&mut fields, "shared_mem_per_smx")?,
+        shared_alloc_granularity: take_num(&mut fields, "shared_alloc_granularity")?,
+        l1_bytes: take_num(&mut fields, "l1_bytes")?,
+        l1_line: take_num(&mut fields, "l1_line")?,
+        l1_assoc: take_num(&mut fields, "l1_assoc")?,
+        tex_cache_bytes: take_num(&mut fields, "tex_cache_bytes")?,
+        l2_bytes: take_num(&mut fields, "l2_bytes")?,
+        l2_assoc: take_num(&mut fields, "l2_assoc")?,
+        l2_latency: take_num(&mut fields, "l2_latency")?,
+        mem_queue_depth: take_num(&mut fields, "mem_queue_depth")?,
+        issue_per_cycle: take_num(&mut fields, "issue_per_cycle")?,
+        alu_latency: take_num(&mut fields, "alu_latency")?,
+        sfu_latency: take_num(&mut fields, "sfu_latency")?,
+        global_latency: take_num(&mut fields, "global_latency")?,
+        dram_bytes_per_cycle: take_num(&mut fields, "dram_bytes_per_cycle")?,
+        txn_bytes: take_num(&mut fields, "txn_bytes")?,
+        shared_latency: take_num(&mut fields, "shared_latency")?,
+        shared_replay_cost: take_num(&mut fields, "shared_replay_cost")?,
+        l1_hit_latency: take_num(&mut fields, "l1_hit_latency")?,
+        const_latency: take_num(&mut fields, "const_latency")?,
+        const_serialize_cost: take_num(&mut fields, "const_serialize_cost")?,
+        shfl_latency: take_num(&mut fields, "shfl_latency")?,
         supports_shfl: take_bool(&mut fields, "supports_shfl")?,
-        barrier_cost: take_u32(&mut fields, "barrier_cost")?,
-        block_launch_cost: take_u32(&mut fields, "block_launch_cost")?,
-        clock_ghz: take_f64(&mut fields, "clock_ghz")?,
+        barrier_cost: take_num(&mut fields, "barrier_cost")?,
+        block_launch_cost: take_num(&mut fields, "block_launch_cost")?,
+        clock_ghz: take_num(&mut fields, "clock_ghz")?,
         dynpar,
     };
     if let Some((k, _)) = fields.first() {
@@ -864,6 +697,23 @@ mod tests {
             parse_json(&bad_schema).unwrap_err(),
             DeviceError::BadSchema("np-device-v0".to_string())
         );
+    }
+
+    #[test]
+    fn counts_must_be_integer_literals_in_both_encodings() {
+        let dev = DeviceConfig::gtx680();
+        let json = dev.descriptor_json().replace("\"num_smx\": 8,", "\"num_smx\": 8.0,");
+        let toml = dev.descriptor_toml().replace("num_smx = 8\n", "num_smx = 8.0\n");
+        let want = DeviceError::BadValue { field: "num_smx", value: "8.0".to_string() };
+        assert_eq!(parse_json(&json).unwrap_err(), want);
+        assert_eq!(parse_toml(&toml).unwrap_err(), want);
+    }
+
+    #[test]
+    fn names_with_quotes_and_escapes_round_trip_in_both_encodings() {
+        let dev = DeviceConfig { name: "lab \"A\" gpu \\ #2\n".to_string(), ..DeviceConfig::k20c() };
+        assert_eq!(parse_json(&dev.descriptor_json()).unwrap().name, dev.name);
+        assert_eq!(parse_toml(&dev.descriptor_toml()).unwrap().name, dev.name);
     }
 
     #[test]

@@ -227,6 +227,7 @@ impl ProfileReport {
     /// counter per block, `ts` = block index, plus per-warp instruction
     /// counters on separate tids. Deterministic for the same launch.
     pub fn to_chrome_trace(&self, kernel_name: &str) -> String {
+        let pid = np_obs::json::quote(kernel_name);
         let mut s = String::from("[");
         let mut first = true;
         for (bi, b) in self.blocks.iter().enumerate() {
@@ -236,7 +237,7 @@ impl ProfileReport {
                 }
                 first = false;
                 s.push_str(&format!(
-                    "\n{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":\"{kernel_name}\",\
+                    "\n{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":{pid},\
                      \"tid\":\"block\",\"ts\":{bi},\"args\":{{\"value\":{v}}}}}"
                 ));
             }
@@ -246,7 +247,7 @@ impl ProfileReport {
                 }
                 first = false;
                 s.push_str(&format!(
-                    "\n{{\"name\":\"instructions\",\"ph\":\"C\",\"pid\":\"{kernel_name}\",\
+                    "\n{{\"name\":\"instructions\",\"ph\":\"C\",\"pid\":{pid},\
                      \"tid\":\"warp {wi}\",\"ts\":{bi},\"args\":{{\"value\":{}}}}}",
                     w.instructions
                 ));

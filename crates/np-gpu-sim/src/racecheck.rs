@@ -269,6 +269,7 @@ impl RaceReport {
     /// appear in detection order. Byte-identical across reruns of the same
     /// launch.
     pub fn to_json(&self) -> String {
+        use np_obs::json::quote;
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = write!(
@@ -296,9 +297,10 @@ impl RaceReport {
                     };
                     let _ = write!(
                         s,
-                        "\"space\":\"{}\",\"block\":{block},\"array\":{array:?},\
+                        "\"space\":\"{}\",\"block\":{block},\"array\":{},\
                          \"index\":{index},\"first\":{},\"second\":{}",
                         space.tag(),
+                        quote(array),
                         site(first),
                         site(second)
                     );
@@ -321,9 +323,10 @@ impl RaceReport {
                 RaceFinding::MasterGatingViolation { block, space, array, index, thread, slave, pc } => {
                     let _ = write!(
                         s,
-                        "\"space\":\"{}\",\"block\":{block},\"array\":{array:?},\
+                        "\"space\":\"{}\",\"block\":{block},\"array\":{},\
                          \"index\":{index},\"thread\":{thread},\"slave\":{slave},\"pc\":{pc}",
-                        space.tag()
+                        space.tag(),
+                        quote(array)
                     );
                 }
             }

@@ -366,6 +366,7 @@ impl Timeline {
     /// with no surrounding brackets, empty string when there are no
     /// intervals. Deterministic.
     pub fn chrome_trace_events(&self, pid: &str) -> String {
+        let pid = np_obs::json::quote(pid);
         let mut s = String::new();
         for (i, t) in self.tracks.iter().enumerate() {
             for iv in &t.intervals {
@@ -373,7 +374,7 @@ impl Timeline {
                     s.push_str(",\n");
                 }
                 s.push_str(&format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":\"{pid}\",\"tid\":\"smx {i}\",\
+                    "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":\"smx {i}\",\
                      \"ts\":{},\"dur\":{},\"args\":{{}}}}",
                     iv.state.name(),
                     iv.start,

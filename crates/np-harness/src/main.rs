@@ -3,7 +3,7 @@
 //! ```text
 //! np-harness [--test-scale] [--device SPEC] [--devices A,B,C]
 //!            [--json [PATH]] [--check-bench BASELINE]
-//!            [--tolerance FRACTION] [--wall-clock]
+//!            [--tolerance FRACTION]
 //!            [--tune-policy exhaustive|pruned[:MARGIN]|predict]
 //!            [all | sweep | fig01 | table1 | fig10 | fig11 |
 //!             fig12 | fig13 | fig14 | fig15 | fig16 | sec6]...
@@ -42,12 +42,6 @@
 //! way. The summary gains a `[policy evaluated/total]` column and the v3
 //! trajectory records the per-workload `"tune"` block; committed baselines
 //! are generated under the default exhaustive policy.
-//!
-//! `--wall-clock` times the sweep on the host: a throughput line
-//! (blocks/sec, total seconds) goes to stderr and the measurement is
-//! written to `BENCH_wallclock.json`. Host timing varies run to run, so
-//! this document is informational only — it is a separate schema from the
-//! byte-stable trajectory and is never gated by `--check-bench`.
 //!
 //! `all` (and the explicit `sweep` command) end with a per-workload
 //! PASS/FAULT summary: every workload's baseline + auto-tune runs to a
@@ -111,7 +105,6 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut check_baseline: Option<String> = None;
     let mut tolerance = 0.02f64;
-    let mut wall_clock = false;
     let mut tune_policy = cuda_np::TunePolicy::default();
     let mut device_spec: Option<String> = None;
     let mut devices_spec: Option<String> = None;
@@ -150,7 +143,6 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            "--wall-clock" => wall_clock = true,
             "--tune-policy" => match it.next().map(|v| cuda_np::TunePolicy::parse(v)) {
                 Some(Ok(p)) => tune_policy = p,
                 Some(Err(e)) => {
@@ -211,20 +203,8 @@ fn main() {
             }
         }
         let matrix = runner::sweep_matrix_with_policy(&devices, scale, tune_policy);
-        if wall_clock {
-            // One matrix-level measurement: the devices interleave on a
-            // shared pool, so per-device host seconds would be fiction.
-            let label = specs.join(",");
-            eprintln!("{}", matrix.elapsed.summary_line(scale_label));
-            let doc = matrix.elapsed.to_json(&label, scale_label);
-            match std::fs::write("BENCH_wallclock.json", &doc) {
-                Ok(()) => eprintln!("np-harness: wrote BENCH_wallclock.json"),
-                Err(e) => eprintln!("np-harness: cannot write BENCH_wallclock.json: {e}"),
-            }
-        }
         let mut failed = false;
-        for (i, (spec, dev)) in specs.iter().zip(&devices).enumerate() {
-            let outcomes = &matrix.per_device[i];
+        for ((spec, dev), outcomes) in specs.iter().zip(&devices).zip(&matrix) {
             let token = device_token(spec);
             println!("===== device {token} ({}) =====", dev.name);
             print!("{}", runner::summary(outcomes));
@@ -261,30 +241,7 @@ fn main() {
     // mode) the trajectory document. Returns true when everything failed.
     let run_sweep = || -> bool {
         let dev = sel.speedup();
-        // `--wall-clock` also records the sweep's np-obs spans so the
-        // throughput doc carries a per-stage host-time breakdown.
-        let (outcomes, elapsed) = if wall_clock {
-            let rec = np_obs::Recorder::buffer(1 << 20);
-            let (outcomes, mut elapsed) = np_obs::scope(&rec, None, None, || {
-                runner::sweep_timed_with_policy(&dev, scale, tune_policy)
-            });
-            elapsed.stages = np_obs::aggregate_spans(&rec.drain());
-            (outcomes, elapsed)
-        } else {
-            runner::sweep_timed_with_policy(&dev, scale, tune_policy)
-        };
-        if wall_clock {
-            // Host throughput is informational: it goes to stderr and its
-            // own non-gated document, never into the byte-stable
-            // trajectory that --check-bench compares.
-            eprintln!("{}", elapsed.summary_line(scale_label));
-            eprint!("{}", elapsed.stage_table());
-            let doc = elapsed.to_json(&dev.name, scale_label);
-            match std::fs::write("BENCH_wallclock.json", &doc) {
-                Ok(()) => eprintln!("np-harness: wrote BENCH_wallclock.json"),
-                Err(e) => eprintln!("np-harness: cannot write BENCH_wallclock.json: {e}"),
-            }
-        }
+        let outcomes = runner::sweep_with_policy(&dev, scale, tune_policy);
         print!("{}", runner::summary(&outcomes));
         println!();
         print!("{}", runner::counter_table(&outcomes));

@@ -305,130 +305,14 @@ pub fn all_failed(outcomes: &[WorkloadOutcome]) -> bool {
     !outcomes.is_empty() && outcomes.iter().all(|o| o.result.is_err())
 }
 
-/// Host-side throughput of one sweep: wall-clock seconds and simulated
-/// blocks interpreted per second. This is a measurement of *this machine
-/// on this run* — inherently non-deterministic, which is why it lives in
-/// its own `BENCH_wallclock.json` document and never enters the
-/// byte-stable trajectory schema that `--check-bench` gates on.
-pub struct WallClock {
-    pub seconds: f64,
-    /// Simulated blocks across every completed launch the sweep timed
-    /// (baseline + tuning winner per passing workload).
-    pub blocks: u64,
-    /// Per-stage host-time aggregation from the sweep's np-obs spans
-    /// (`--wall-clock` installs a recorder around the sweep and fills
-    /// this in). Host timing, so non-gated like the rest of the doc.
-    pub stages: Vec<np_obs::StageStat>,
-}
-
-impl WallClock {
-    pub fn blocks_per_sec(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.blocks as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// One human line for stderr.
-    pub fn summary_line(&self, scale: &str) -> String {
-        format!(
-            "np-harness: sweep wall-clock {:.2}s, {} blocks, {:.0} blocks/sec ({scale} scale)",
-            self.seconds,
-            self.blocks,
-            self.blocks_per_sec()
-        )
-    }
-
-    /// Per-stage host-time breakdown table (stderr companion to
-    /// [`WallClock::summary_line`]). Empty when no stages were recorded.
-    pub fn stage_table(&self) -> String {
-        use std::fmt::Write as _;
-        if self.stages.is_empty() {
-            return String::new();
-        }
-        let mut s = String::new();
-        let _ = writeln!(s, "np-harness: host-time breakdown (np-obs spans, non-gated):");
-        let _ = writeln!(s, "  {:<18} {:>7} {:>14}", "stage", "count", "total_wall_us");
-        for st in &self.stages {
-            let _ = writeln!(s, "  {:<18} {:>7} {:>14}", st.name, st.count, st.total_wall_us);
-        }
-        s
-    }
-
-    /// The `BENCH_wallclock.json` document (schema `np-wallclock-v1`).
-    /// Deliberately separate from the trajectory schema: these numbers
-    /// change run to run and machine to machine.
-    pub fn to_json(&self, device: &str, scale: &str) -> String {
-        use std::fmt::Write as _;
-        let mut stages = String::new();
-        for (i, st) in self.stages.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                stages,
-                "{sep}\n    \"{}\": {{ \"count\": {}, \"wall_us\": {} }}",
-                st.name, st.count, st.total_wall_us
-            );
-        }
-        if !stages.is_empty() {
-            stages.push_str("\n  ");
-        }
-        format!(
-            "{{\n  \"schema\": \"np-wallclock-v1\",\n  \"device\": \"{device}\",\n  \
-             \"scale\": \"{scale}\",\n  \"blocks\": {},\n  \"seconds\": {:.3},\n  \
-             \"blocks_per_sec\": {:.1},\n  \"stages\": {{{stages}}}\n}}\n",
-            self.blocks,
-            self.seconds,
-            self.blocks_per_sec()
-        )
-    }
-}
-
-/// [`sweep`], timed: returns the outcomes plus host-side throughput.
-pub fn sweep_timed(dev: &DeviceConfig, scale: Scale) -> (Vec<WorkloadOutcome>, WallClock) {
-    sweep_timed_with_policy(dev, scale, TunePolicy::default())
-}
-
-/// [`sweep_timed`] under an explicit candidate-selection policy.
-pub fn sweep_timed_with_policy(
-    dev: &DeviceConfig,
-    scale: Scale,
-    policy: TunePolicy,
-) -> (Vec<WorkloadOutcome>, WallClock) {
-    let start = std::time::Instant::now();
-    let outcomes = sweep_with_policy(dev, scale, policy);
-    let seconds = start.elapsed().as_secs_f64();
-    let blocks = sweep_blocks(&outcomes);
-    (outcomes, WallClock { seconds, blocks, stages: Vec::new() })
-}
-
-/// Simulated blocks across every completed launch a sweep timed
-/// (baseline + tuning winner per passing workload).
-fn sweep_blocks(outcomes: &[WorkloadOutcome]) -> u64 {
-    outcomes
-        .iter()
-        .filter_map(|o| o.result.as_ref().ok())
-        .map(|r| r.baseline.timing.blocks_simulated + r.tuned.best_report.timing.blocks_simulated)
-        .sum()
-}
-
-/// A multi-device sweep: one full [`sweep`] worth of outcomes per device,
-/// plus one matrix-level wall clock (the devices run interleaved on a
-/// shared pool, so per-device host seconds would be meaningless).
-pub struct MatrixSweep {
-    /// Parallel to the `devices` slice passed to [`sweep_matrix`]; inner
-    /// vectors are in Table-1 workload order.
-    pub per_device: Vec<Vec<WorkloadOutcome>>,
-    pub elapsed: WallClock,
-}
-
 /// Baseline + auto-tune every Table-1 workload on every device, sharding
 /// the `device × workload` matrix across a bounded pool of host threads.
 /// Workers claim cells off a shared counter and park each outcome in that
 /// cell's slot, so the returned order is `(device, workload)` order no
 /// matter how evaluations interleave — the per-device trajectory documents
-/// stay byte-identical to a serial run.
-pub fn sweep_matrix(devices: &[DeviceConfig], scale: Scale) -> MatrixSweep {
+/// stay byte-identical to a serial run. The result is parallel to
+/// `devices`; each inner vector is in Table-1 workload order.
+pub fn sweep_matrix(devices: &[DeviceConfig], scale: Scale) -> Vec<Vec<WorkloadOutcome>> {
     sweep_matrix_with_policy(devices, scale, TunePolicy::default())
 }
 
@@ -437,8 +321,7 @@ pub fn sweep_matrix_with_policy(
     devices: &[DeviceConfig],
     scale: Scale,
     policy: TunePolicy,
-) -> MatrixSweep {
-    let start = std::time::Instant::now();
+) -> Vec<Vec<WorkloadOutcome>> {
     let workloads = all_workloads(scale);
     let cells = devices.len() * workloads.len();
     let next = std::sync::atomic::AtomicUsize::new(0);
@@ -466,16 +349,7 @@ pub fn sweep_matrix_with_policy(
     let mut it = slots.into_iter().map(|s| {
         s.into_inner().unwrap().expect("every matrix cell ran exactly once")
     });
-    let per_device: Vec<Vec<WorkloadOutcome>> = devices
-        .iter()
-        .map(|_| (&mut it).take(workloads.len()).collect())
-        .collect();
-    let seconds = start.elapsed().as_secs_f64();
-    let blocks = per_device.iter().map(|o| sweep_blocks(o)).sum();
-    MatrixSweep {
-        per_device,
-        elapsed: WallClock { seconds, blocks, stages: Vec::new() },
-    }
+    devices.iter().map(|_| (&mut it).take(workloads.len()).collect()).collect()
 }
 
 /// Geometric mean.
@@ -490,34 +364,6 @@ pub fn gm(xs: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use np_workloads::{tmv::Tmv, Scale};
-
-    #[test]
-    fn wallclock_json_and_summary_carry_throughput() {
-        let wc = WallClock {
-            seconds: 2.5,
-            blocks: 1000,
-            stages: vec![np_obs::StageStat { name: "transform".into(), count: 7, total_wall_us: 420 }],
-        };
-        assert_eq!(wc.blocks_per_sec(), 400.0);
-        let j = wc.to_json("GTX 680", "test");
-        for needle in [
-            "\"schema\": \"np-wallclock-v1\"",
-            "\"device\": \"GTX 680\"",
-            "\"scale\": \"test\"",
-            "\"blocks\": 1000",
-            "\"seconds\": 2.500",
-            "\"blocks_per_sec\": 400.0",
-        ] {
-            assert!(j.contains(needle), "{j} missing {needle}");
-        }
-        let line = wc.summary_line("test");
-        assert!(line.contains("2.50s") && line.contains("400 blocks/sec"), "{line}");
-        // Degenerate timer reading must not divide by zero.
-        assert_eq!(
-            WallClock { seconds: 0.0, blocks: 5, stages: Vec::new() }.blocks_per_sec(),
-            0.0
-        );
-    }
 
     #[test]
     fn gm_matches_hand_computation() {

@@ -5,17 +5,19 @@
 //! flight recorder's attribution), and profile counters. The writer is a
 //! pure function of the sweep outcomes — the simulator is deterministic, so
 //! two consecutive runs produce *byte-identical* files; CI regenerates the
-//! document and diffs it against the committed `BENCH_baseline.json` with a
-//! relative cycle tolerance (see [`check_against_baseline`]).
+//! document and diffs it against the committed
+//! `BENCH_baseline.<device>.json` with a relative cycle tolerance (see
+//! [`check_against_baseline`]).
 //!
-//! The serde shim is a no-op, so both serialization and the baseline check
-//! are hand-rolled over the exact format emitted here (one workload object
-//! per line; diffs read naturally).
+//! The writer is hand-rolled, one workload object per line so diffs read
+//! naturally; string values go through [`np_obs::json::quote`]. The
+//! baseline check reads both documents with [`np_obs::json::Json`].
 
 use crate::runner::{gm, WorkloadOutcome};
 use cuda_np::tuner::{TuneEntry, TuneOutcome};
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::pragma::NpType;
+use np_obs::json::{quote, Json};
 
 /// Schema tag written into every document; bump when the layout changes.
 /// v2 added `device_digest` (the FNV-64 of the device's canonical
@@ -78,9 +80,9 @@ fn tune_json(r: &crate::runner::BenchResult) -> String {
         None => "null".to_string(),
     };
     format!(
-        "{{\"policy\":\"{}\",\"evaluated\":{},\"skipped\":{},\
+        "{{\"policy\":{},\"evaluated\":{},\"skipped\":{},\
          \"fell_back\":{},\"predicted_rank\":{rank}}}",
-        r.policy.label(),
+        quote(&r.policy.label()),
         r.evaluated,
         r.skipped,
         r.fell_back,
@@ -92,10 +94,11 @@ fn tune_json(r: &crate::runner::BenchResult) -> String {
 /// every number is either an exact integer or a fixed-precision float.
 pub fn to_json(outcomes: &[WorkloadOutcome], dev: &DeviceConfig, scale: &str) -> String {
     let mut s = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"device\": \"{}\",\n  \
-         \"device_digest\": \"{}\",\n  \"scale\": \"{scale}\",\n  \"workloads\": [\n",
-        dev.name,
-        dev.digest_hex()
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"device\": {},\n  \
+         \"device_digest\": \"{}\",\n  \"scale\": {},\n  \"workloads\": [\n",
+        quote(&dev.name),
+        dev.digest_hex(),
+        quote(scale)
     );
     let mut speedups = Vec::new();
     let mut first = true;
@@ -105,7 +108,7 @@ pub fn to_json(outcomes: &[WorkloadOutcome], dev: &DeviceConfig, scale: &str) ->
                 s.push_str(",\n");
             }
             first = false;
-            s.push_str(&format!("    {{\"name\":\"{}\",\"failed\":true}}", o.name));
+            s.push_str(&format!("    {{\"name\":{},\"failed\":true}}", quote(o.name)));
             continue;
         };
         speedups.push(r.speedup());
@@ -117,12 +120,12 @@ pub fn to_json(outcomes: &[WorkloadOutcome], dev: &DeviceConfig, scale: &str) ->
         }
         first = false;
         s.push_str(&format!(
-            "    {{\"name\":\"{}\",\"baseline_cycles\":{},\"best_cycles\":{},\
+            "    {{\"name\":{},\"baseline_cycles\":{},\"best_cycles\":{},\
              \"speedup\":{:.4},\"np_type\":\"{}\",\"slave_size\":{},\
              \"tune\":{},\"candidates\":{},\
              \"baseline_stall\":{},\"best_stall\":{},\
              \"baseline_profile\":{},\"best_profile\":{}}}",
-            o.name,
+            quote(o.name),
             r.baseline.cycles,
             r.tuned.best_report.cycles,
             r.speedup(),
@@ -143,44 +146,16 @@ pub fn to_json(outcomes: &[WorkloadOutcome], dev: &DeviceConfig, scale: &str) ->
     s
 }
 
-/// Extract the `{...}` object for workload `name` out of a trajectory
-/// document (objects are one per line, `"name"` first).
-fn workload_object<'a>(doc: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("{{\"name\":\"{name}\",");
-    let start = doc.find(&tag)?;
-    let rest = &doc[start..];
-    let end = rest.find('\n').unwrap_or(rest.len());
-    Some(rest[..end].trim_end_matches(','))
-}
-
-/// Scan `obj` for `"key":<integer>`. First match wins; the trajectory
-/// format never repeats a key inside one workload object's top level before
-/// its nested breakdowns, so ordering in [`to_json`] keeps this exact for
-/// the cycle fields checked below.
-fn extract_u64(obj: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let at = obj.find(&tag)?;
-    let digits: String = obj[at + tag.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Every workload name appearing in a trajectory document, in order.
-fn workload_names(doc: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = doc;
-    while let Some(at) = rest.find("{\"name\":\"") {
-        let tail = &rest[at + 9..];
-        if let Some(end) = tail.find('"') {
-            out.push(tail[..end].to_string());
-            rest = &tail[end..];
-        } else {
-            break;
-        }
+/// The `"workloads"` array of a parsed trajectory document.
+fn workloads(doc: &Json) -> &[Json] {
+    match doc.get("workloads") {
+        Some(Json::Arr(ws)) => ws,
+        _ => &[],
     }
-    out
+}
+
+fn name_of(w: &Json) -> Option<&str> {
+    w.get("name").and_then(Json::as_str)
 }
 
 /// Compare a freshly generated trajectory against a committed baseline.
@@ -196,22 +171,26 @@ pub fn check_against_baseline(
     baseline: &str,
     tolerance: f64,
 ) -> Result<(), Vec<String>> {
+    let (cur, base) = match (Json::parse(current), Json::parse(baseline)) {
+        (Ok(cur), Ok(base)) => (cur, base),
+        (Err(e), _) => return Err(vec![format!("current results do not parse: {e}")]),
+        (_, Err(e)) => return Err(vec![format!("baseline does not parse: {e}")]),
+    };
     let mut problems = Vec::new();
-    let names = workload_names(baseline);
-    if names.is_empty() {
+    if workloads(&base).is_empty() {
         problems.push("baseline document lists no workloads".to_string());
     }
-    for name in names {
-        let Some(b) = workload_object(baseline, &name) else { continue };
-        if b.contains("\"failed\":true") {
+    for b in workloads(&base) {
+        let Some(name) = name_of(b) else { continue };
+        if b.get("failed").and_then(Json::as_bool) == Some(true) {
             continue;
         }
-        let Some(c) = workload_object(current, &name) else {
+        let Some(c) = workloads(&cur).iter().find(|c| name_of(c) == Some(name)) else {
             problems.push(format!("{name}: missing from current results"));
             continue;
         };
         for key in ["baseline_cycles", "best_cycles"] {
-            match (extract_u64(b, key), extract_u64(c, key)) {
+            match (b.get(key).and_then(Json::as_u64), c.get(key).and_then(Json::as_u64)) {
                 (Some(want), Some(got)) => {
                     let rel = (got as f64 - want as f64).abs() / (want as f64).max(1.0);
                     if rel > tolerance {
@@ -285,6 +264,23 @@ mod tests {
     }
 
     #[test]
+    fn device_names_are_escaped_in_the_document() {
+        let dev = DeviceConfig { name: "lab \"A\" gpu \\ 2".to_string(), ..DeviceConfig::gtx680() };
+        let doc = to_json(&[], &dev, "test");
+        let parsed = Json::parse(&doc).expect("the trajectory is valid JSON");
+        assert_eq!(parsed.get("device").and_then(Json::as_str), Some(dev.name.as_str()));
+    }
+
+    #[test]
+    fn unparsable_documents_fail_the_gate() {
+        let base = doc(&[("TMV", 1000, 400)]);
+        let errs = check_against_baseline("{\"workloads\": [", &base, 0.5).unwrap_err();
+        assert!(errs[0].starts_with("current results do not parse"), "{errs:?}");
+        let errs = check_against_baseline(&base, "not json", 0.5).unwrap_err();
+        assert!(errs[0].starts_with("baseline does not parse"), "{errs:?}");
+    }
+
+    #[test]
     fn identical_documents_pass() {
         let d = doc(&[("TMV", 1000, 400), ("MV", 2000, 900)]);
         check_against_baseline(&d, &d, 0.0).unwrap();
@@ -320,7 +316,7 @@ mod tests {
         // The sharded matrix sweep must land on the same bytes as the
         // serial sweep: worker interleaving may not leak into the document.
         let m = crate::runner::sweep_matrix(std::slice::from_ref(&dev), Scale::Test);
-        let b = to_json(&m.per_device[0], &dev, "test");
+        let b = to_json(&m[0], &dev, "test");
         assert_eq!(a, b, "trajectory must be deterministic");
         assert!(a.contains(SCHEMA));
         assert!(a.contains(&format!("\"device_digest\": \"{}\"", dev.digest_hex())));

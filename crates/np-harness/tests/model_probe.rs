@@ -7,8 +7,8 @@
 //! ```text
 //! cargo test --release -p np-harness --test model_probe -- --ignored --nocapture
 //! ```
-use cuda_np::tuner::{alloc_extra_buffers, autotune, default_candidates};
-use cuda_np::{CostModel, Transformed};
+use cuda_np::tuner::{alloc_extra_buffers, autotune_with_policy, default_candidates};
+use cuda_np::{CostModel, Transformed, TunePolicy};
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::analysis::pragma_loop_trips;
 use np_workloads::{all_workloads, Scale};
@@ -23,7 +23,10 @@ fn dump_scores_vs_cycles() {
             let sim = w.sim_options();
             let grid = w.grid();
             let make_args = |t: &Transformed| alloc_extra_buffers(w.make_args(), t, grid);
-            let r = autotune(&kernel, &dev, grid, &make_args, &sim, &candidates).unwrap();
+            let policy = TunePolicy::Exhaustive;
+            let r = autotune_with_policy(&kernel, &dev, grid, &make_args, &sim, &candidates, policy)
+                .unwrap()
+                .result;
             let model = CostModel::from_kernel(&kernel, &dev);
             println!(
                 "== {} @ {}  block={} grid={}",

@@ -44,6 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use crate::json::{quote, value_end};
 use crate::registry::{Counter, Registry};
 
 /// Event severity, ordered. Spans record at [`SPAN_LEVEL`].
@@ -164,31 +165,12 @@ impl EvKind {
     }
 }
 
-/// JSON-escape and quote a string.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn render_field(v: &FieldVal) -> String {
     match v {
         FieldVal::U64(n) => n.to_string(),
         FieldVal::I64(n) => n.to_string(),
         FieldVal::Bool(b) => b.to_string(),
-        FieldVal::Str(s) => json_string(s),
+        FieldVal::Str(s) => quote(s),
     }
 }
 
@@ -203,9 +185,9 @@ pub fn render_line(ev: &RawEvent, strip: bool) -> String {
             if let Some(p) = parent {
                 s.push_str(&format!(",\"parent\":{p}"));
             }
-            s.push_str(&format!(",\"name\":{}", json_string(name)));
+            s.push_str(&format!(",\"name\":{}", quote(name)));
             if let Some(c) = &ev.corr {
-                s.push_str(&format!(",\"corr\":{}", json_string(c)));
+                s.push_str(&format!(",\"corr\":{}", quote(c)));
             }
             if !strip {
                 s.push_str(&format!(",\"wall_t_us\":{wall_t_us}"));
@@ -214,10 +196,10 @@ pub fn render_line(ev: &RawEvent, strip: bool) -> String {
         EvKind::Close { span, name, wall_us } => {
             s.push_str(&format!(
                 ",\"ev\":\"close\",\"span\":{span},\"name\":{}",
-                json_string(name)
+                quote(name)
             ));
             if let Some(c) = &ev.corr {
-                s.push_str(&format!(",\"corr\":{}", json_string(c)));
+                s.push_str(&format!(",\"corr\":{}", quote(c)));
             }
             if !strip {
                 s.push_str(&format!(",\"wall_us\":{wall_us}"));
@@ -227,10 +209,10 @@ pub fn render_line(ev: &RawEvent, strip: bool) -> String {
             s.push_str(&format!(
                 ",\"ev\":\"event\",\"level\":\"{}\",\"name\":{}",
                 level.as_str(),
-                json_string(name)
+                quote(name)
             ));
             if let Some(c) = &ev.corr {
-                s.push_str(&format!(",\"corr\":{}", json_string(c)));
+                s.push_str(&format!(",\"corr\":{}", quote(c)));
             }
             let kept: Vec<&(String, FieldVal)> =
                 fields.iter().filter(|(k, _)| !(strip && k.starts_with("wall_"))).collect();
@@ -240,7 +222,7 @@ pub fn render_line(ev: &RawEvent, strip: bool) -> String {
                     if i > 0 {
                         s.push(',');
                     }
-                    s.push_str(&format!("{}:{}", json_string(k), render_field(v)));
+                    s.push_str(&format!("{}:{}", quote(k), render_field(v)));
                 }
                 s.push('}');
             }
@@ -264,10 +246,11 @@ pub fn render_jsonl(events: &[RawEvent], strip: bool) -> String {
     s
 }
 
-/// Remove every `"wall_*"` member from a JSON/JSONL text without fully
-/// parsing it — the textual equivalent of `render_jsonl(.., strip=true)`,
-/// usable on logs produced by another process (`npcc obs-strip`). Values
-/// may be numbers, booleans, strings, or balanced objects/arrays.
+/// Remove every `"wall_*"` member from a JSON/JSONL text — the textual
+/// equivalent of `render_jsonl(.., strip=true)`, usable on logs produced
+/// by another process (`npcc obs-strip`). The text is scanned for
+/// `"wall_*":` keys and each value's extent comes from `json::value_end`, so
+/// the rest of the text passes through byte for byte.
 pub fn strip_text(input: &str) -> String {
     let b = input.as_bytes();
     let mut out: Vec<u8> = Vec::with_capacity(b.len());
@@ -277,7 +260,7 @@ pub fn strip_text(input: &str) -> String {
             if let Some(rel) = b[i + 1..].iter().position(|&c| c == b'"') {
                 let kend = i + 1 + rel; // closing quote of the key
                 if b.get(kend + 1) == Some(&b':') {
-                    if let Some(vend) = json_value_end(b, kend + 2) {
+                    if let Some(vend) = value_end(input, kend + 2) {
                         if out.last() == Some(&b',') {
                             // `,"wall_x":V` — drop the preceding comma too.
                             out.pop();
@@ -296,62 +279,6 @@ pub fn strip_text(input: &str) -> String {
         i += 1;
     }
     String::from_utf8(out).expect("strip_text only removes whole JSON members")
-}
-
-/// Byte offset one past the end of the JSON value starting at `i`.
-fn json_value_end(b: &[u8], i: usize) -> Option<usize> {
-    match b.get(i)? {
-        b'{' | b'[' => {
-            let mut depth = 0usize;
-            let mut j = i;
-            let mut in_str = false;
-            while j < b.len() {
-                let c = b[j];
-                if in_str {
-                    if c == b'\\' {
-                        j += 1;
-                    } else if c == b'"' {
-                        in_str = false;
-                    }
-                } else {
-                    match c {
-                        b'"' => in_str = true,
-                        b'{' | b'[' => depth += 1,
-                        b'}' | b']' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return Some(j + 1);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                j += 1;
-            }
-            None
-        }
-        b'"' => {
-            let mut j = i + 1;
-            while j < b.len() {
-                match b[j] {
-                    b'\\' => j += 1,
-                    b'"' => return Some(j + 1),
-                    _ => {}
-                }
-                j += 1;
-            }
-            None
-        }
-        _ => {
-            let mut j = i;
-            while j < b.len()
-                && matches!(b[j], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E' | b't' | b'r' | b'u' | b'f' | b'a' | b'l' | b's' | b'n')
-            {
-                j += 1;
-            }
-            (j > i).then_some(j)
-        }
-    }
 }
 
 /// One output of a streaming recorder: a writer plus its own level floor.
@@ -782,49 +709,20 @@ pub fn chrome_trace_events(events: &[RawEvent], pid: &str) -> String {
                     s.push_str(",\n");
                 }
                 let corr = match &ev.corr {
-                    Some(c) => format!("{{\"corr\":{}}}", json_string(c)),
+                    Some(c) => format!("{{\"corr\":{}}}", quote(c)),
                     None => "{}".to_string(),
                 };
                 s.push_str(&format!(
-                    "{{\"name\":{},\"ph\":\"X\",\"pid\":\"{pid}\",\"tid\":\"host\",\
+                    "{{\"name\":{},\"ph\":\"X\",\"pid\":{},\"tid\":\"host\",\
                      \"ts\":{ts},\"dur\":{wall_us},\"args\":{corr}}}",
-                    json_string(name)
+                    quote(name),
+                    quote(pid)
                 ));
             }
             EvKind::Event { .. } => {}
         }
     }
     s
-}
-
-/// Host time aggregated per span name, from the close records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageStat {
-    pub name: String,
-    pub count: u64,
-    pub total_wall_us: u64,
-}
-
-/// Sum span durations by name, sorted by name (deterministic order; the
-/// `wall` totals themselves are of course wall-clock).
-pub fn aggregate_spans(events: &[RawEvent]) -> Vec<StageStat> {
-    let mut by_name: std::collections::BTreeMap<&str, (u64, u64)> =
-        std::collections::BTreeMap::new();
-    for ev in events {
-        if let EvKind::Close { name, wall_us, .. } = &ev.kind {
-            let e = by_name.entry(name).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += wall_us;
-        }
-    }
-    by_name
-        .into_iter()
-        .map(|(name, (count, total_wall_us))| StageStat {
-            name: name.to_string(),
-            count,
-            total_wall_us,
-        })
-        .collect()
 }
 
 /// Check span-tree well-formedness of a drained log: strictly increasing
@@ -1004,25 +902,6 @@ mod tests {
         assert!(frag.starts_with("{\"name\":\"transform\",\"ph\":\"X\",\"pid\":\"npcc\",\"tid\":\"host\""), "{frag}");
         assert!(frag.contains("\"args\":{\"corr\":\"c7\"}"), "{frag}");
         assert!(!frag.contains('['), "fragment must not carry brackets: {frag}");
-    }
-
-    #[test]
-    fn aggregation_sums_wall_time_per_stage() {
-        let rec = Recorder::buffer(64);
-        let s1 = rec.open_span(None, "interp", None);
-        rec.close_span(s1, "interp", None, 10);
-        let s2 = rec.open_span(None, "interp", None);
-        rec.close_span(s2, "interp", None, 32);
-        let s3 = rec.open_span(None, "timing", None);
-        rec.close_span(s3, "timing", None, 5);
-        let stats = aggregate_spans(&rec.drain());
-        assert_eq!(
-            stats,
-            vec![
-                StageStat { name: "interp".into(), count: 2, total_wall_us: 42 },
-                StageStat { name: "timing".into(), count: 1, total_wall_us: 5 },
-            ]
-        );
     }
 
     #[test]

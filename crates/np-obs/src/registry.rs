@@ -136,7 +136,7 @@ impl Registry {
                 s.push(',');
             }
             first = false;
-            s.push_str(&format!("{}:{}", crate::recorder::json_string(name), c.get()));
+            s.push_str(&format!("{}:{}", crate::json::quote(name), c.get()));
         }
         drop(counters);
         s.push_str("},\"gauges\":{");
@@ -150,7 +150,7 @@ impl Registry {
                 s.push(',');
             }
             first = false;
-            s.push_str(&format!("{}:{}", crate::recorder::json_string(name), g.get()));
+            s.push_str(&format!("{}:{}", crate::json::quote(name), g.get()));
         }
         drop(gauges);
         s.push_str("},\"histograms\":{");
@@ -166,7 +166,7 @@ impl Registry {
             first = false;
             s.push_str(&format!(
                 "{}:{}",
-                crate::recorder::json_string(name),
+                crate::json::quote(name),
                 h.snapshot().to_json()
             ));
         }

@@ -5,7 +5,8 @@
 //! cargo run --release --example tmv_vs_cublas
 //! ```
 
-use cuda_np::tuner::{alloc_extra_buffers, autotune, default_candidates};
+use cuda_np::tuner::{alloc_extra_buffers, autotune_with_policy, default_candidates};
+use cuda_np::TunePolicy;
 use np_exec::{launch, SimOptions};
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::types::Dim3;
@@ -34,15 +35,17 @@ fn main() {
             .unwrap();
 
         let candidates = default_candidates(kernel.block_dim.x, 1024);
-        let tuned = autotune(
+        let tuned = autotune_with_policy(
             &kernel,
             &dev,
             grid,
             &|t| alloc_extra_buffers(wl.make_args(), t, grid),
             &SimOptions::full(),
             &candidates,
+            TunePolicy::Exhaustive,
         )
-        .unwrap();
+        .unwrap()
+        .result;
 
         println!(
             "{:>7} {:>10.1} {:>12.1} {:>10.1} {:>7.2}x {:>4?}x{}",

@@ -1,122 +1,21 @@
 #!/usr/bin/env bash
-# Full CI gate: release build, tests, and lint-clean clippy.
+# The CI gate, one named section per CI job:
+#
+#   ./scripts/ci.sh            run every section, in order
+#   ./scripts/ci.sh SECTION    run one section; .github/workflows/ci.yml
+#                              runs each job this way
+#
+# Every section builds what it needs, so each one also passes on its own.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release --workspace
-cargo test -q --workspace
-cargo clippy --workspace --all-targets -- -D warnings
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 
-# Profiler regression gates: golden counters must match the checked-in
-# snapshots byte-for-byte, and every workload must stay equivalent to its
-# scalar reference across the slave-size x np-type sweep.
-cargo test --release -q --test golden_counters
-cargo test --release -q -p cuda-np --test equivalence
-
-# Trace-replay gate: capture/replay must be byte-identical to direct
-# launches for every workload x transform config, the tuner must interpret
-# each candidate exactly once, the np-trace-v1 codec must round-trip and
-# reject corruption with typed errors, and the checked-in golden trace
-# artifacts must match byte-for-byte.
-cargo test --release -q -p np-gpu-sim --test golden_traces
-cargo test --release -q -p np-gpu-sim --test trace_codec_properties
-cargo test --release -q -p cuda-np --test replay_equivalence
-
-# Race-freedom gate: every paper workload's transformed kernel must pass
-# the happens-before checker at slave sizes {2,4,8} (and its dropped-barrier
-# / un-gated-broadcast mutants must fail it), both through the test suites
-# and through the npcc --check-races CLI exit codes.
-cargo test --release -q -p cuda-np --test conformance
-cargo test --release -q --test racecheck_properties
-cargo test --release -q -p cuda-np --test npcc_cli
-
-# Bench-trajectory gate: regenerate the machine-readable perf record twice
-# (it must be byte-identical — the simulator is deterministic), then diff it
-# against the committed baseline with a ±2% cycle tolerance.
-cargo run --release -q -p np-harness -- --test-scale --json BENCH_results.json
-cp BENCH_results.json BENCH_results.rerun.json
-cargo run --release -q -p np-harness -- --test-scale --json BENCH_results.json \
-  --check-bench BENCH_baseline.json --tolerance 0.02
-cmp BENCH_results.json BENCH_results.rerun.json \
-  || { echo "BENCH_results.json is not deterministic" >&2; exit 1; }
-rm -f BENCH_results.rerun.json
-
-# Perf smoke: time the sweep on the host (parallel per-block interpretation)
-# and keep the measurement as a non-gated artifact. The gate is purely
-# functional — the trajectory must still match the committed baseline; the
-# wall-clock number itself never fails the build.
-cargo run --release -q -p np-harness -- --test-scale --wall-clock \
-  --check-bench BENCH_baseline.json --tolerance 0.02
-test -s BENCH_wallclock.json \
-  || { echo "BENCH_wallclock.json was not written" >&2; exit 1; }
-cargo test --release -q -p cuda-np --test parallel_determinism
-
-# Serve robustness gate: the suites above already cover shedding, deadlines,
-# quarantine, and corruption recovery in-process; here the real `npcc serve`
-# binary takes a 30-second seeded chaos soak — delays, worker panics, forced
-# sim faults, cache corruption, and more clients than queue slots so
-# overload shedding fires. The soak's own gate enforces exactly-once
-# delivery, byte-identical ok payloads, and zero escaped worker panics
-# (exit nonzero otherwise). Then the SIGTERM drain check: deliver a request
-# over a held-open pipe, signal, and require a clean flush-and-exit.
-cargo test --release -q -p cuda-np --test serve --test serve_cache_properties
-cargo build --release -q -p cuda-np --bin npcc
-./target/release/npcc serve --soak 30 --chaos 42 --workers 2 --queue 4 \
-  --clients 8 --bench-out BENCH_serve.json
-grep -q '"schema":"np-serve-bench-v1"' BENCH_serve.json \
-  || { echo "BENCH_serve.json missing or malformed" >&2; exit 1; }
-# The chaos harness corrupts the capture-artifact cache alongside the
-# result cache; the soak report must carry the trace-cache counters
-# proving that path was exercised and survived.
-grep -q '"trace_replays"' BENCH_serve.json \
-  || { echo "BENCH_serve.json missing trace-cache counters" >&2; exit 1; }
-./scripts/serve_drain_check.sh
-
-# Observability gate: stripped np-obs logs and registry snapshots must be
-# byte-identical across reruns (two workloads, including the tuner's
-# thread pool), the obs property suite must pass, and a chaos soak with
-# `--log` must keep correlation ids unique and on every request event.
-cargo test --release -q -p np-obs
-cargo test --release -q -p cuda-np --test obs_determinism
-./scripts/obs_determinism_check.sh
-
-# Device-matrix gate: descriptor validation/round-trip properties, the
-# cross-device invariance contract (functional outputs and race reports
-# byte-identical across the registry; cycles must differ) with per-device
-# golden metric snapshots, then the sharded sweep matrix: each device's
-# trajectory gated against its own committed BENCH_baseline.<device>.json,
-# with a rerun cmp proving the matrix output is byte-deterministic and
-# independent of worker scheduling.
-cargo test --release -q -p np-gpu-sim --test device_descriptor_properties
-cargo test --release -q -p cuda-np --test device_invariance
-cargo run --release -q -p np-harness -- --test-scale \
-  --devices gtx680,k20c,maxwell --json BENCH_results.json \
-  --check-bench BENCH_baseline.json --tolerance 0.02
-for d in gtx680 k20c maxwell; do
-  cp "BENCH_results.$d.json" "BENCH_results.$d.rerun.json"
-done
-cargo run --release -q -p np-harness -- --test-scale \
-  --devices gtx680,k20c,maxwell --json BENCH_results.json
-for d in gtx680 k20c maxwell; do
-  cmp "BENCH_results.$d.json" "BENCH_results.$d.rerun.json" \
-    || { echo "BENCH_results.$d.json is not deterministic" >&2; exit 1; }
-  rm -f "BENCH_results.$d.rerun.json"
-done
-# The matrix and the single-device path must agree exactly.
-cmp BENCH_results.gtx680.json BENCH_results.json \
-  || { echo "matrix gtx680 trajectory diverges from the serial sweep" >&2; exit 1; }
-
-# Tuner-policy gate: the cost model's pruned and predict policies must be
-# *never slower* than the exhaustive sweep — bit-identical winner cycles
-# across all ten workloads x the device registry, the exhaustive winner
-# always inside the evaluated set, strictly fewer evaluations on at least
-# half the workloads, and the measured winner inside the model's static
-# top-2 on >=80% of workload x device cells. Then the CLI surface: a
-# pruned --explain must report the same winner as an exhaustive one.
-cargo test --release -q -p np-harness --test tuner_policy
-cargo test --release -q -p cuda-np --lib costmodel
-cargo build --release -q -p cuda-np --bin npcc
-cat > /tmp/tuner_policy_smoke.cu <<'CU'
+# The smoke kernel the npcc checks below compile: TMV with one
+# `#pragma np` reduction loop.
+smoke_kernel() {
+  cat > "$tmp/tmv.cu" <<'CU'
 __global__ void tmv(const float* a, const float* x, float* out, int n) {
     int row = blockIdx.x * blockDim.x + threadIdx.x;
     float sum = 0.0f;
@@ -127,13 +26,172 @@ __global__ void tmv(const float* a, const float* x, float* out, int n) {
     out[row] = sum;
 }
 CU
-./target/release/npcc --explain /tmp/tuner_policy_smoke.cu \
-  > /dev/null 2> /tmp/tp_exh.txt
-./target/release/npcc --explain --tune-policy pruned /tmp/tuner_policy_smoke.cu \
-  > /dev/null 2> /tmp/tp_pruned.txt
-./target/release/npcc --explain --tune-policy predict /tmp/tuner_policy_smoke.cu \
-  > /dev/null 2> /tmp/tp_predict.txt
-for f in /tmp/tp_pruned.txt /tmp/tp_predict.txt; do
-  cmp <(grep '^npcc: winner' /tmp/tp_exh.txt) <(grep '^npcc: winner' "$f") \
-    || { echo "$f: non-exhaustive policy picked a different winner" >&2; exit 1; }
-done
+}
+
+build_npcc() {
+  cargo build --release -q -p cuda-np --bin npcc
+}
+
+# Release build, workspace tests, and lint-clean clippy.
+core() {
+  cargo build --release --workspace
+  cargo test -q --workspace
+  cargo clippy --workspace --all-targets -- -D warnings
+}
+
+# Profiler regression gates: golden counters must match the checked-in
+# snapshots byte-for-byte, and every workload must stay equivalent to its
+# scalar reference across the slave-size x np-type sweep.
+golden-check() {
+  cargo test --release -q --test golden_counters
+  cargo test --release -q -p cuda-np --test equivalence
+}
+
+# Trace-replay gate: capture/replay must be byte-identical to direct
+# launches for every workload x transform config, the tuner must interpret
+# each candidate exactly once, the np-trace-v1 codec must round-trip and
+# reject corruption with typed errors, the checked-in golden trace
+# artifacts must match byte-for-byte, and `npcc --replay` of an emitted
+# trace must print the same report twice.
+trace-replay() {
+  cargo test --release -q -p np-gpu-sim --test golden_traces
+  cargo test --release -q -p np-gpu-sim --test trace_codec_properties
+  cargo test --release -q -p cuda-np --test replay_equivalence
+  build_npcc
+  smoke_kernel
+  ./target/release/npcc --np-type inter --slave-size 4 \
+    --emit-trace "$tmp/smoke.nptrace" "$tmp/tmv.cu" > /dev/null
+  ./target/release/npcc --replay "$tmp/smoke.nptrace" > "$tmp/replay1.json"
+  ./target/release/npcc --replay "$tmp/smoke.nptrace" > "$tmp/replay2.json"
+  cmp "$tmp/replay1.json" "$tmp/replay2.json" \
+    || { echo "npcc --replay is not deterministic" >&2; exit 1; }
+}
+
+# Race-freedom gate: every paper workload's transformed kernel must pass
+# the happens-before checker at slave sizes {2,4,8} (and its dropped-barrier
+# / un-gated-broadcast mutants must fail it), both through the test suites
+# and through the npcc --check-races CLI exit codes.
+racecheck() {
+  cargo test --release -q -p cuda-np --test conformance
+  cargo test --release -q --test racecheck_properties
+  cargo test --release -q -p cuda-np --test npcc_cli
+}
+
+# Bench-trajectory gate: regenerate the machine-readable perf record twice
+# (it must be byte-identical — the simulator is deterministic), then diff it
+# against the committed gtx680 baseline with a ±2% cycle tolerance.
+bench-trajectory() {
+  cargo run --release -q -p np-harness -- --test-scale --json BENCH_results.json
+  cp BENCH_results.json "$tmp/BENCH_results.rerun.json"
+  cargo run --release -q -p np-harness -- --test-scale --json BENCH_results.json \
+    --check-bench BENCH_baseline.gtx680.json --tolerance 0.02
+  cmp BENCH_results.json "$tmp/BENCH_results.rerun.json" \
+    || { echo "BENCH_results.json is not deterministic" >&2; exit 1; }
+}
+
+# Parallel-interpretation determinism: per-block worker pools must not
+# change a single output byte.
+perf-smoke() {
+  cargo test --release -q -p cuda-np --test parallel_determinism
+  cargo test --release -q -p cuda-np --test equivalence \
+    serial_and_parallel_interpretation_are_byte_identical
+}
+
+# Serve robustness gate: the suites cover shedding, deadlines, quarantine,
+# and corruption recovery in-process; here the real `npcc serve` binary
+# takes a 30-second seeded chaos soak — delays, worker panics, forced sim
+# faults, cache corruption, and more clients than queue slots so overload
+# shedding fires. The soak's own gate enforces exactly-once delivery,
+# byte-identical ok payloads, and zero escaped worker panics (exit nonzero
+# otherwise). The chaos harness corrupts the capture-artifact cache too,
+# so the report must carry the trace-cache counters. Then the SIGTERM
+# drain check: deliver a request over a held-open pipe, signal, and
+# require a clean flush-and-exit.
+serve-soak() {
+  cargo test --release -q -p cuda-np --test serve --test serve_cache_properties
+  build_npcc
+  ./target/release/npcc serve --soak 30 --chaos 42 --workers 2 --queue 4 \
+    --clients 8 --bench-out BENCH_serve.json
+  grep -q '"schema":"np-serve-bench-v1"' BENCH_serve.json \
+    || { echo "BENCH_serve.json missing or malformed" >&2; exit 1; }
+  grep -q '"trace_replays"' BENCH_serve.json \
+    || { echo "BENCH_serve.json missing trace-cache counters" >&2; exit 1; }
+  ./scripts/serve_drain_check.sh
+}
+
+# Device-matrix gate: descriptor validation/round-trip properties, the
+# cross-device invariance contract (functional outputs and race reports
+# byte-identical across the registry; cycles must differ) with per-device
+# golden metric snapshots, then the sharded sweep matrix: each device's
+# trajectory gated against its own committed BENCH_baseline.<device>.json
+# (the harness expands the BASE.json template), with a rerun cmp proving
+# the matrix output is byte-deterministic and equal to the serial sweep.
+device-matrix() {
+  cargo test --release -q -p np-gpu-sim --test device_descriptor_properties
+  cargo test --release -q -p cuda-np --test device_invariance
+  local devices=gtx680,k20c,maxwell
+  cargo run --release -q -p np-harness -- --test-scale --devices "$devices" \
+    --json BENCH_results.json --check-bench BENCH_baseline.json --tolerance 0.02
+  for d in ${devices//,/ }; do
+    cp "BENCH_results.$d.json" "$tmp/BENCH_results.$d.rerun.json"
+  done
+  cargo run --release -q -p np-harness -- --test-scale --devices "$devices" \
+    --json BENCH_results.json
+  for d in ${devices//,/ }; do
+    cmp "BENCH_results.$d.json" "$tmp/BENCH_results.$d.rerun.json" \
+      || { echo "BENCH_results.$d.json is not deterministic" >&2; exit 1; }
+  done
+  cargo run --release -q -p np-harness -- --test-scale --json "$tmp/serial.json"
+  cmp BENCH_results.gtx680.json "$tmp/serial.json" \
+    || { echo "matrix gtx680 trajectory diverges from the serial sweep" >&2; exit 1; }
+  build_npcc
+  ./target/release/npcc --list-devices
+}
+
+# Observability gate: stripped np-obs logs and registry snapshots must be
+# byte-identical across reruns (two workloads, including the tuner's
+# thread pool), the obs property suite must pass, and a chaos soak with
+# `--log` must keep correlation ids unique and on every request event.
+obs-determinism() {
+  cargo test --release -q -p np-obs
+  cargo test --release -q -p cuda-np --test obs_determinism
+  build_npcc
+  ./scripts/obs_determinism_check.sh
+}
+
+# Tuner-policy gate: the cost model's pruned and predict policies must be
+# *never slower* than the exhaustive sweep — bit-identical winner cycles
+# across all ten workloads x the device registry, the exhaustive winner
+# always inside the evaluated set, strictly fewer evaluations on at least
+# half the workloads, and the measured winner inside the model's static
+# top-2 on >=80% of workload x device cells. Then the CLI surface: a
+# pruned or predict --explain must report the same winner as an
+# exhaustive one.
+tuner-policy() {
+  cargo test --release -q -p cuda-np --lib costmodel
+  cargo test --release -q -p np-harness --test tuner_policy
+  build_npcc
+  smoke_kernel
+  for policy in exhaustive pruned predict; do
+    ./target/release/npcc --explain --tune-policy "$policy" "$tmp/tmv.cu" \
+      > /dev/null 2> "$tmp/tp_$policy.txt"
+  done
+  for policy in pruned predict; do
+    cmp <(grep '^npcc: winner' "$tmp/tp_exhaustive.txt") \
+      <(grep '^npcc: winner' "$tmp/tp_$policy.txt") \
+      || { echo "--tune-policy $policy picked a different winner" >&2; exit 1; }
+  done
+}
+
+sections=(core golden-check trace-replay racecheck bench-trajectory perf-smoke
+  serve-soak device-matrix obs-determinism tuner-policy)
+if [ $# -eq 0 ]; then
+  for section in "${sections[@]}"; do
+    "$section"
+  done
+elif [[ " ${sections[*]} " == *" $1 "* ]]; then
+  "$1"
+else
+  echo "unknown section '$1' (sections: ${sections[*]})" >&2
+  exit 2
+fi

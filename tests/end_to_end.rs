@@ -2,8 +2,8 @@
 //! whole stack (IR → transform → interpreter → timing engine) and must
 //! match its CPU reference, baseline and transformed alike.
 
-use cuda_np::tuner::{alloc_extra_buffers, autotune, default_candidates};
-use cuda_np::{transform, NpOptions};
+use cuda_np::tuner::{alloc_extra_buffers, autotune_with_policy, default_candidates};
+use cuda_np::{transform, NpOptions, TunePolicy};
 use np_exec::{launch, SimOptions};
 use np_gpu_sim::DeviceConfig;
 use np_workloads::{all_workloads, assert_close, Scale};
@@ -51,15 +51,17 @@ fn autotuner_only_returns_correct_and_faster_or_equal_versions() {
         let kernel = w.kernel();
         let grid = w.grid();
         let candidates = default_candidates(kernel.block_dim.x, 1024);
-        let tuned = autotune(
+        let tuned = autotune_with_policy(
             &kernel,
             &dev,
             grid,
             &|t| alloc_extra_buffers(w.make_args(), t, grid),
             &w.sim_options(),
             &candidates,
+            TunePolicy::Exhaustive,
         )
-        .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+        .unwrap_or_else(|e| panic!("{}: {e}", w.name()))
+        .result;
         // The winner must be the min over all successful entries.
         let min = tuned
             .entries

@@ -11,7 +11,8 @@
 //! UPDATE_GOLDENS=1 cargo test --test golden_counters
 //! ```
 
-use cuda_np::tuner::{alloc_extra_buffers, autotune, default_candidates};
+use cuda_np::tuner::{alloc_extra_buffers, autotune_with_policy, default_candidates};
+use cuda_np::TunePolicy;
 use np_exec::launch;
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::pragma::NpType;
@@ -41,15 +42,17 @@ fn snapshot(w: &dyn Workload, dev: &DeviceConfig) -> String {
         .unwrap_or_else(|e| panic!("{}: baseline failed: {e}", w.name()));
 
     let candidates = default_candidates(kernel.block_dim.x, 1024);
-    let tuned = autotune(
+    let tuned = autotune_with_policy(
         &kernel,
         dev,
         grid,
         &|t| alloc_extra_buffers(w.make_args(), t, grid),
         &w.sim_options(),
         &candidates,
+        TunePolicy::Exhaustive,
     )
-    .unwrap_or_else(|e| panic!("{}: tuning failed: {e}", w.name()));
+    .unwrap_or_else(|e| panic!("{}: tuning failed: {e}", w.name()))
+    .result;
     let best_cycles = tuned.best_report.cycles;
     let winner = tuned
         .entries
