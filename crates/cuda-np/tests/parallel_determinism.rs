@@ -11,7 +11,10 @@
 //!    copy-on-write overlay in the logged-memory journal;
 //! 3. a cross-block-RAW kernel where every later block reads a slot that
 //!    block 0 writes — the merge must detect the dependency and fall back
-//!    to sequential re-execution with identical results.
+//!    to sequential re-execution with identical results;
+//! 4. a racy shared-tile kernel under small finding caps — the merge must
+//!    rebase each block's pcs and cut the cap across blocks exactly where
+//!    one sequential recorder would have.
 //!
 //! A CUDA-NP transformed kernel rides along so the sweep covers the
 //! master/slave remapping the paper is about, not just hand-written IR.
@@ -29,11 +32,16 @@ fn dev() -> DeviceConfig {
     DeviceConfig::gtx680()
 }
 
-fn armed(threads: Option<usize>, policy: Option<GatingPolicy>) -> SimOptions {
+fn armed(threads: Option<usize>, race: RaceCheckOptions) -> SimOptions {
     SimOptions::full()
         .with_race_check(RaceCheckMode::Record)
-        .with_race_options(RaceCheckOptions { max_findings: None, policy })
+        .with_race_options(race)
         .with_interp_threads(threads)
+}
+
+/// The checker options for a launch gated by `policy`, uncapped.
+fn gated(policy: Option<GatingPolicy>) -> RaceCheckOptions {
+    RaceCheckOptions { max_findings: None, policy }
 }
 
 /// Launch and return (report, output bits) — bits, not floats, because the
@@ -58,14 +66,14 @@ fn assert_deterministic(
     grid: u32,
     make_args: &dyn Fn() -> Args,
     pool: usize,
-    policy: Option<GatingPolicy>,
+    race: RaceCheckOptions,
     out: &str,
     ctx: &str,
-) {
+) -> KernelReport {
     let (serial, serial_bits) =
-        run_bits(kernel, grid, make_args(), &armed(Some(1), policy.clone()), out);
+        run_bits(kernel, grid, make_args(), &armed(Some(1), race.clone()), out);
     let (parallel, parallel_bits) =
-        run_bits(kernel, grid, make_args(), &armed(Some(pool), policy), out);
+        run_bits(kernel, grid, make_args(), &armed(Some(pool), race), out);
     assert_eq!(serial_bits, parallel_bits, "{ctx}: output bits differ");
     assert_eq!(serial.cycles, parallel.cycles, "{ctx}: cycles differ");
     assert_eq!(
@@ -75,10 +83,16 @@ fn assert_deterministic(
     );
     assert_eq!(serial.race.to_json(), parallel.race.to_json(), "{ctx}: race reports differ");
     assert_eq!(
+        serial.race.narrative(),
+        parallel.race.narrative(),
+        "{ctx}: race narratives differ"
+    );
+    assert_eq!(
         serial.chrome_trace(),
         parallel.chrome_trace(),
         "{ctx}: chrome traces differ"
     );
+    serial
 }
 
 /// Barrier communication through a shared tile: `rounds` write/sync/read
@@ -124,6 +138,26 @@ fn rmw_kernel(block: u32) -> Kernel {
     b.finish()
 }
 
+/// A shared-tile exchange with its barrier dropped: every thread writes
+/// `tile[tid]`, then the first `readers` threads read another thread's slot
+/// with no barrier between. Each block files `readers` read-write races,
+/// so small finding caps run out anywhere in the launch, block boundaries
+/// included.
+fn racy_tile_kernel(warps: u32, readers: u32, offset: u32) -> Kernel {
+    let n = warps * 32;
+    let mut b = KernelBuilder::new("racytile", n);
+    b.param_global_f32("src");
+    b.param_global_f32("out");
+    b.shared_array("tile", Scalar::F32, n);
+    b.store("tile", tidx(), load("src", tidx()));
+    b.decl_f32("acc", f(0.0));
+    b.if_(lt(tidx(), i(readers as i32)), |b| {
+        b.assign("acc", load("tile", (tidx() + i(offset as i32)) % i(n as i32)));
+    });
+    b.store("out", tidx() + bidx() * bdimx(), v("acc"));
+    b.finish()
+}
+
 /// Cross-block read-after-write: every block writes its own slot of `out`,
 /// but blocks other than 0 first read `out[0]` — which block 0 writes. The
 /// merge's RAW check must detect the intersection and fall back to
@@ -158,7 +192,7 @@ proptest! {
             grid,
             &|| comm_args(warps, grid),
             pool,
-            None,
+            gated(None),
             "out",
             &format!("comm warps={warps} rounds={rounds} grid={grid} pool={pool}"),
         );
@@ -181,7 +215,7 @@ proptest! {
             grid,
             &|| Args::new().buf_f32("data", (0..n).map(|i| (i % 23) as f32 - 11.0).collect()),
             pool,
-            None,
+            gated(None),
             "data",
             &format!("rmw block={block} grid={grid} pool={pool}"),
         );
@@ -208,7 +242,7 @@ proptest! {
             grid,
             &make,
             pool,
-            None,
+            gated(None),
             "out",
             &format!("crossraw grid={grid} pool={pool} seed={seed}"),
         );
@@ -259,9 +293,37 @@ proptest! {
             grid,
             &make,
             pool,
-            gating_policy(&t),
+            gated(gating_policy(&t)),
             "out",
             &format!("tmv {:?} slave_size={s} grid={grid} pool={pool}", opts.np_type),
         );
+    }
+
+    /// Racy launches through the parallel merge: findings from several
+    /// blocks under caps of 1 to 8, so the merge must rebase every block's
+    /// pcs and may run out of room at any finding, at a block boundary or
+    /// inside a block. Serial and parallel reports stay byte-identical.
+    #[test]
+    fn racy_kernels_merge_findings_like_one_recorder(
+        warps in 1u32..=2,
+        readers in 1u32..=3,
+        offset in 1u32..=31,
+        grid in 2u32..=9,
+        pool in 2usize..=8,
+        cap in 1usize..=8,
+    ) {
+        let k = racy_tile_kernel(warps, readers, offset);
+        let race = RaceCheckOptions { max_findings: Some(cap), policy: None };
+        let rep = assert_deterministic(
+            &k,
+            grid,
+            &|| comm_args(warps, grid),
+            pool,
+            race,
+            "out",
+            &format!("racytile warps={warps} readers={readers} grid={grid} pool={pool} cap={cap}"),
+        );
+        prop_assert_eq!(rep.race.findings.len(), cap.min((readers * grid) as usize));
+        prop_assert_eq!(rep.race.truncated, (readers * grid) as usize > cap);
     }
 }

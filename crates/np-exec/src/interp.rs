@@ -26,8 +26,8 @@
 //! For parallel per-block interpretation, a block can run against a
 //! [`GlobalMem::Logged`] view: reads come from an immutable base snapshot
 //! (or the block's own prior writes), stores are journaled instead of
-//! applied, and race-checker events are logged for deterministic replay —
-//! see `launch.rs` for the ordered merge that makes the parallel path
+//! applied, and the block is race-checked by a recorder of its own — see
+//! `launch.rs` for the ordered merge that makes the parallel path
 //! byte-identical to sequential execution.
 
 // Interpreter internals thread `SimFault` by value so detection sites can
@@ -43,7 +43,7 @@ use np_gpu_sim::config::DeviceConfig;
 use np_gpu_sim::mem::inject::{FaultInjector, InjectConfig, InjectSpace, Injection};
 use np_gpu_sim::mem::local::LocalLayout;
 use np_gpu_sim::mem::LaneAddrs;
-use np_gpu_sim::racecheck::{RaceRecorder, RaceSpace};
+use np_gpu_sim::racecheck::{RaceRecorder, RaceReport, RaceSpace};
 use np_gpu_sim::trace::{BlockTrace, ShflKind, TraceBuilder};
 use np_kernel_ir::expr::{BinOp, ShflMode, Special};
 use np_kernel_ir::slots::{ArrayRef, IExpr, IStmt, InternedKernel, ParamRef};
@@ -72,10 +72,10 @@ pub(crate) struct StoreRec {
     pub step: u64,
 }
 
-/// Where a race-checker access landed (name resolution deferred so logged
-/// events stay small).
+/// Where a race-checker access landed: a slot whose name the recorder
+/// interns once per context.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ArraySite {
+enum ArraySite {
     /// Index into [`InternedKernel::shared`].
     Shared(u32),
     /// Index into [`InternedKernel::array_params`].
@@ -83,29 +83,19 @@ pub(crate) enum ArraySite {
 }
 
 impl ArraySite {
-    pub fn space(self) -> RaceSpace {
+    fn space(self) -> RaceSpace {
         match self {
             ArraySite::Shared(_) => RaceSpace::Shared,
             ArraySite::GlobalParam(_) => RaceSpace::Global,
         }
     }
 
-    pub fn name(self, ik: &InternedKernel) -> &str {
+    fn name(self, ik: &InternedKernel) -> &str {
         match self {
             ArraySite::Shared(i) => &ik.shared[i as usize].name,
             ArraySite::GlobalParam(i) => &ik.array_params[i as usize].name,
         }
     }
-}
-
-/// One logged race-checker event, replayed in block order on the main
-/// thread after a parallel run. `step` is block-local; replay rebases it by
-/// the cumulative step count of all earlier blocks, reproducing the exact
-/// `pc` values a sequential run would have recorded.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RaceEvent {
-    Access { site: ArraySite, index: u64, thread: u32, write: bool, step: u64 },
-    Barrier { step: u64 },
 }
 
 /// Global-memory view for one interpreting context.
@@ -212,12 +202,9 @@ impl GlobalMem<'_> {
 /// Where race-checker accesses go for this context.
 enum RaceSink {
     Off,
-    /// Sequential: feed the recorder directly; `fatal` turns the first
-    /// finding into a [`FaultKind::RaceDetected`] fault.
+    /// Feed the recorder; `fatal` turns the first finding into a
+    /// [`FaultKind::RaceDetected`] fault.
     Recorder { rec: Box<RaceRecorder>, fatal: bool },
-    /// Parallel worker: journal events for in-order replay on the main
-    /// thread.
-    Log(Vec<RaceEvent>),
 }
 
 /// Everything a parallel worker hands back for one block, besides the
@@ -226,7 +213,9 @@ pub(crate) struct BlockLog {
     pub stores: Vec<StoreRec>,
     /// Per read-write array: elements read before this block's own write.
     pub reads_before_write: Vec<Vec<u64>>,
-    pub race_events: Vec<RaceEvent>,
+    /// The block's race report, its pcs counted from the block's first
+    /// step (unchecked when the launch is not race-checked).
+    pub race: RaceReport,
     /// Interpreted steps this block consumed.
     pub steps: u64,
 }
@@ -277,12 +266,13 @@ impl<'a> LaunchCtx<'a> {
 
     /// A per-block journaling context for one parallel worker. The worker
     /// gets the *full* watchdog budget; the ordered merge later decides
-    /// whether a sequential run would have hit the budget earlier.
+    /// whether a sequential run would have hit the budget earlier. `race`
+    /// is the block's own recorder, when the launch is race-checked.
     pub fn new_logged(
         base: &'a GlobalState,
         rw: &'a [bool],
         watchdog_steps: Option<u64>,
-        log_races: bool,
+        race: Option<RaceRecorder>,
     ) -> Self {
         let n = base.buffers.len();
         LaunchCtx {
@@ -299,28 +289,25 @@ impl<'a> LaunchCtx<'a> {
             // carries one.
             deadline: None,
             injector: None,
-            race: if log_races { RaceSink::Log(Vec::new()) } else { RaceSink::Off },
+            race: match race {
+                Some(rec) => RaceSink::Recorder { rec: Box::new(rec), fatal: false },
+                None => RaceSink::Off,
+            },
             race_ids: (Vec::new(), Vec::new()),
             step: 0,
         }
     }
 
     /// Tear a worker context down into its journal.
-    pub fn finish_logged(self) -> BlockLog {
+    pub fn finish_logged(mut self) -> BlockLog {
         let steps = self.step;
-        let race_events = match self.race {
-            RaceSink::Log(v) => v,
-            _ => Vec::new(),
-        };
+        let race = self.take_race().map(RaceRecorder::finish).unwrap_or_default();
         match self.mem {
-            GlobalMem::Logged(m) => BlockLog {
-                stores: m.stores,
-                reads_before_write: m.reads,
-                race_events,
-                steps,
-            },
+            GlobalMem::Logged(m) => {
+                BlockLog { stores: m.stores, reads_before_write: m.reads, race, steps }
+            }
             GlobalMem::Direct(_) => {
-                BlockLog { stores: Vec::new(), reads_before_write: Vec::new(), race_events, steps }
+                BlockLog { stores: Vec::new(), reads_before_write: Vec::new(), race, steps }
             }
         }
     }
@@ -365,10 +352,6 @@ impl<'a> LaunchCtx<'a> {
         let pc = self.step;
         match &mut self.race {
             RaceSink::Off => Ok(()),
-            RaceSink::Log(events) => {
-                events.push(RaceEvent::Access { site, index, thread, write, step: pc });
-                Ok(())
-            }
             RaceSink::Recorder { rec, fatal } => {
                 let (shared_ids, param_ids) = &mut self.race_ids;
                 let cached = match site {
@@ -415,10 +398,8 @@ impl<'a> LaunchCtx<'a> {
     /// Every thread of the current block passed a barrier.
     fn race_barrier_all(&mut self) {
         let pc = self.step;
-        match &mut self.race {
-            RaceSink::Off => {}
-            RaceSink::Log(events) => events.push(RaceEvent::Barrier { step: pc }),
-            RaceSink::Recorder { rec, .. } => rec.barrier_all(pc),
+        if let RaceSink::Recorder { rec, .. } = &mut self.race {
+            rec.barrier_all(pc);
         }
     }
 
@@ -444,14 +425,11 @@ impl<'a> LaunchCtx<'a> {
         self.step
     }
 
-    /// Take the recorder out (launch teardown).
+    /// Take the recorder out (launch or block teardown).
     pub fn take_race(&mut self) -> Option<RaceRecorder> {
         match std::mem::replace(&mut self.race, RaceSink::Off) {
             RaceSink::Recorder { rec, .. } => Some(*rec),
-            other => {
-                self.race = other;
-                None
-            }
+            RaceSink::Off => None,
         }
     }
 }

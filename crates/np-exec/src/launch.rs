@@ -25,18 +25,18 @@
 //! * a real fault in block `b` stops the merge exactly where a sequential
 //!   run would have stopped: earlier blocks' stores land, later blocks'
 //!   never ran as far as the caller can tell;
-//! * happens-before race events are journaled with block-local step
-//!   numbers and replayed into one recorder in block order, rebased by
-//!   the cumulative step count — reproducing sequential `pc` values.
+//! * each worker race-checks its block with a recorder of its own, pcs
+//!   counted from the block's first step; the merge appends the block
+//!   reports in block order, rebasing pcs by the cumulative step count
+//!   and applying the finding cap across blocks — reproducing the
+//!   sequential report byte for byte.
 //!
 //! Fault injection (one seeded counter across blocks) and
 //! [`RaceCheckMode::Fatal`] (mid-launch abort at an exact global step)
 //! are inherently sequential and force the fallback path.
 
 use crate::fault::{FaultKind, SimFault};
-use crate::interp::{
-    bit_set, bitmaps_intersect, run_block, BlockLog, LaunchCtx, RaceEvent, StoreRec,
-};
+use crate::interp::{bit_set, bitmaps_intersect, run_block, BlockLog, LaunchCtx, StoreRec};
 use crate::machine::{Args, ExecError, GlobalState};
 use crate::resources::estimate_resources;
 use np_gpu_sim::capture::{CapturedLaunch, CapturedRaceMode};
@@ -532,6 +532,8 @@ fn interpret_launch(
             "exec.race",
             vec![
                 np_obs::kv("blocks_checked", run.race.blocks_checked),
+                np_obs::kv("accesses_checked", run.race.accesses_checked),
+                np_obs::kv("barriers_seen", run.race.barriers_seen),
                 np_obs::kv("findings", run.race.findings.len() as u64),
             ],
         );
@@ -623,7 +625,7 @@ fn interpret_sequential(env: &RunEnv, globals: &mut GlobalState) -> InterpRun {
 }
 
 /// One worker's result for one block: the trace (when the block ran to
-/// completion) and the store/race journal either way.
+/// completion) and the store journal and race report either way.
 enum Outcome {
     Ok(BlockTrace, BlockLog),
     Fault(SimFault, BlockLog),
@@ -638,7 +640,7 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
     let opts = env.opts;
     let ik = env.ik;
     let rw: Vec<bool> = ik.array_params.iter().map(|p| p.loaded && p.stored).collect();
-    let log_races = opts.check_races == RaceCheckMode::Record;
+    let check_races = opts.check_races == RaceCheckMode::Record;
     let sim_blocks = env.sim_blocks;
 
     let next = AtomicU64::new(0);
@@ -656,8 +658,9 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
                     if bx >= sim_blocks || bx > fault_floor.load(Ordering::Relaxed) {
                         break;
                     }
-                    let mut ctx =
-                        LaunchCtx::new_logged(base, &rw, opts.watchdog_steps, log_races);
+                    let recorder =
+                        check_races.then(|| RaceRecorder::new(opts.race_options.clone()));
+                    let mut ctx = LaunchCtx::new_logged(base, &rw, opts.watchdog_steps, recorder);
                     let r = run_block(
                         ik,
                         env.dev,
@@ -690,7 +693,7 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
     let mut cum_steps: u64 = 0;
     let mut fault: Option<SimFault> = None;
     let mut traces: Vec<BlockTrace> = Vec::with_capacity(sim_blocks as usize);
-    let mut logs: Vec<BlockLog> = Vec::with_capacity(sim_blocks as usize);
+    let mut race = RaceReport { checked: check_races, ..Default::default() };
     for bx in 0..sim_blocks {
         let outcome = results[bx as usize]
             .lock()
@@ -731,50 +734,16 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
             }
         }
         traces.push(trace.expect("fault-free outcome carries a trace"));
-        logs.push(log);
-        cum_steps += logs.last().expect("just pushed").steps;
+        // The block's pcs count from its own first step; a sequential run
+        // would have stamped them after every earlier block's steps.
+        race.append(log.race, cum_steps, &opts.race_options);
+        cum_steps += log.steps;
     }
 
     let mut profile = ProfileReport::default();
     for t in &traces {
         profile.record_block(t);
     }
-
-    // Replay journaled race events in block order on one recorder,
-    // rebasing block-local steps to the cumulative launch step — the same
-    // `pc` values sequential recording would have produced. (On a fault
-    // the launch returns `Err` and the report is discarded, so replay is
-    // skipped.)
-    let race = if log_races && fault.is_none() {
-        let mut rec = RaceRecorder::new(opts.race_options.clone());
-        let n_threads = ik.block_dim.count() as u32;
-        let mut base_step: u64 = 0;
-        for (bx, log) in logs.iter().enumerate() {
-            let (bix, biy) = env.block_idx(bx as u64);
-            let block_linear = biy as u64 * env.grid.x as u64 + bix as u64;
-            rec.begin_block(block_linear, n_threads);
-            for ev in &log.race_events {
-                match *ev {
-                    RaceEvent::Access { site, index, thread, write, step } => {
-                        rec.record_access(
-                            site.space(),
-                            site.name(ik),
-                            index,
-                            thread,
-                            write,
-                            base_step + step,
-                        );
-                    }
-                    RaceEvent::Barrier { step } => rec.barrier_all(base_step + step),
-                }
-            }
-            rec.end_block();
-            base_step += log.steps;
-        }
-        rec.finish()
-    } else {
-        RaceReport::default()
-    };
 
     Some(InterpRun { traces, race, profile, fault, steps: cum_steps })
 }

@@ -30,9 +30,14 @@
 //! Determinism: findings are emitted in access order, the interpreter's
 //! access order is itself deterministic, and [`RaceReport::to_json`]
 //! serializes fields in a fixed layout — re-running a launch yields a
-//! byte-identical report.
+//! byte-identical report. Per-block reports compose: checking each block
+//! with its own recorder and joining the reports with
+//! [`RaceReport::append`] gives the same bytes as one recorder.
+//!
+//! Cost: per-word state lives in a dense shadow indexed by word, one block
+//! at a time, so a checked access is a few array lookups and no hashing.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Memory space of a checked access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,6 +148,19 @@ impl RaceFinding {
             RaceFinding::BarrierDivergence { .. } => "barrier-divergence",
             RaceFinding::MasterGatingViolation { .. } => "gating-violation",
         }
+    }
+
+    /// The same finding with every pc it names moved up by `base` steps.
+    fn rebased(mut self, base: u64) -> Self {
+        match &mut self {
+            RaceFinding::MemoryRace { first, second, .. } => {
+                first.pc += base;
+                second.pc += base;
+            }
+            RaceFinding::MasterGatingViolation { pc, .. } => *pc += base,
+            RaceFinding::BarrierDivergence { .. } => {}
+        }
+        self
     }
 }
 
@@ -348,36 +366,187 @@ impl RaceReport {
         }
         s
     }
+
+    /// Append the report of a later stretch of the same launch: a block
+    /// checked by its own recorder under the same `opts`, with pcs counted
+    /// from zero. Counters add, that report's pcs move up by `pc_base` (the
+    /// launch steps before the stretch), and the finding cap applies across
+    /// both. Appending per-block reports in block order therefore gives the
+    /// bytes one recorder fed the whole launch would have produced: what a
+    /// block files never depends on what earlier blocks filed.
+    pub fn append(&mut self, later: RaceReport, pc_base: u64, opts: &RaceCheckOptions) {
+        self.blocks_checked += later.blocks_checked;
+        self.accesses_checked += later.accesses_checked;
+        self.barriers_seen += later.barriers_seen;
+        let room = opts.cap().saturating_sub(self.findings.len());
+        self.truncated |= later.truncated || later.findings.len() > room;
+        self.findings.extend(later.findings.into_iter().take(room).map(|f| f.rebased(pc_base)));
+    }
 }
+
+/// One access as the shadow keeps it. Whether it was a write follows from
+/// where it is kept.
+#[derive(Clone, Copy)]
+struct Site {
+    thread: u32,
+    epoch: u32,
+    pc: u64,
+}
+
+impl Site {
+    fn public(self, write: bool) -> AccessSite {
+        AccessSite { thread: self.thread, pc: self.pc, epoch: self.epoch, write }
+    }
+}
+
+/// [`WordState::flags`] bits.
+const HAS_WRITE: u8 = 1;
+const HAS_READ: u8 = 2;
+/// At most one memory-race finding is filed per word, so one dropped
+/// barrier reads as one finding per conflicting word rather than one per
+/// access pair.
+const REPORTED: u8 = 4;
 
 /// Per-word state: the last write plus the latest read of each reading
-/// thread (the FastTrack read-shared representation; exact at epoch
-/// granularity because per-thread epochs are monotone).
-#[derive(Default)]
+/// thread, in the order the threads first read the word since that write
+/// (the FastTrack read-shared representation; exact at epoch granularity
+/// because per-thread epochs are monotone). The first reader is stored
+/// inline, so a word read by one thread allocates nothing; later readers
+/// go to a [`MoreReads`].
 struct WordState {
-    last_write: Option<AccessSite>,
-    reads: Vec<AccessSite>,
-    /// Thread -> slot in `reads`, built lazily once a word is read by many
-    /// threads (broadcast loads would otherwise make the per-access
-    /// dedup scan quadratic in the thread count). Pure index: the `reads`
-    /// vector and its order are exactly what they were without it.
-    read_map: Option<HashMap<u32, u32>>,
-    /// At most one memory-race finding is filed per word, so one dropped
-    /// barrier reads as one finding per conflicting word rather than one
-    /// per access pair.
-    reported: bool,
+    last_write: Site,
+    first_read: Site,
+    /// `Shadow::more[more - 1]` holds the readers after the first (0: none
+    /// allocated yet).
+    more: u32,
+    flags: u8,
 }
 
-/// Per-block tracking state, reset at block boundaries (the simulator runs
-/// blocks sequentially; cross-block ordering is not happens-before and is
-/// out of the checker's per-block scope).
+impl WordState {
+    const UNTOUCHED: WordState = WordState {
+        last_write: Site { thread: 0, epoch: 0, pc: 0 },
+        first_read: Site { thread: 0, epoch: 0, pc: 0 },
+        more: 0,
+        flags: 0,
+    };
+}
+
+/// The readers of one word after its first, in slot order.
+#[derive(Default)]
+struct MoreReads {
+    sites: Vec<Site>,
+    /// Thread -> index in `sites` + 1 (0: absent), over the block's
+    /// threads. Built once the reader set is large: broadcast loads would
+    /// otherwise make the per-read dedup scan quadratic in the thread
+    /// count. A pure index: `sites` and its order are the same without it.
+    slot_of: Vec<u32>,
+}
+
+impl MoreReads {
+    const INDEX_AT: usize = 16;
+
+    /// Make `site` its thread's latest read, keeping the thread's slot.
+    fn read(&mut self, site: Site, n_threads: usize) {
+        let t = site.thread as usize;
+        let slot = match self.slot_of.get(t) {
+            Some(&i) => (i as usize).checked_sub(1),
+            None => self.sites.iter().position(|r| r.thread == site.thread),
+        };
+        if let Some(i) = slot {
+            self.sites[i] = site;
+            return;
+        }
+        self.sites.push(site);
+        let n = self.sites.len() as u32;
+        if let Some(s) = self.slot_of.get_mut(t) {
+            *s = n;
+        } else if self.slot_of.is_empty() && self.sites.len() == Self::INDEX_AT {
+            self.slot_of = vec![0; n_threads];
+            for (i, r) in self.sites.iter().enumerate() {
+                if let Some(s) = self.slot_of.get_mut(r.thread as usize) {
+                    *s = i as u32 + 1;
+                }
+            }
+        }
+    }
+
+    /// A write superseded every read.
+    fn clear(&mut self) {
+        for r in self.sites.drain(..) {
+            if let Some(s) = self.slot_of.get_mut(r.thread as usize) {
+                *s = 0;
+            }
+        }
+    }
+}
+
+/// Words per shadow page: small enough that a block touching a few words
+/// per row of a wide matrix wastes little handle space, large enough that
+/// the directory costs 4 bytes per 256 words.
+const PAGE_BITS: u32 = 8;
+const PAGE: usize = 1 << PAGE_BITS;
+/// Pages numbered below this sit in a dense directory: 2^32 words per
+/// array, past any buffer the interpreter binds (it bounds-checks every
+/// index against the array length before recording the access). Farther
+/// pages, reachable only through the public API, go through an ordered
+/// map.
+const DENSE_PAGES: u64 = 1 << (32 - PAGE_BITS);
+
+/// The per-word state of one block, indexed by word: a page directory per
+/// (array, space), pages of word handles, and the word states in
+/// first-touch order.
+#[derive(Default)]
+struct Shadow {
+    /// Per `array_id * 2 + space`: page number -> page + 1 (0: untouched).
+    dirs: Vec<Vec<u32>>,
+    far: BTreeMap<(usize, u64), u32>,
+    /// `PAGE` handles per page: index in `words` + 1 (0: untouched).
+    pages: Vec<u32>,
+    words: Vec<WordState>,
+    more: Vec<MoreReads>,
+}
+
+impl Shadow {
+    /// The `words` index of `index` in array slot `arr`, created on first
+    /// touch.
+    fn word(&mut self, arr: usize, index: u64) -> usize {
+        let page_no = index >> PAGE_BITS;
+        let page = if page_no < DENSE_PAGES {
+            if self.dirs.len() <= arr {
+                self.dirs.resize_with(arr + 1, Vec::new);
+            }
+            let dir = &mut self.dirs[arr];
+            let p = page_no as usize;
+            if dir.len() <= p {
+                dir.resize(p + 1, 0);
+            }
+            &mut dir[p]
+        } else {
+            self.far.entry((arr, page_no)).or_insert(0)
+        };
+        if *page == 0 {
+            self.pages.resize(self.pages.len() + PAGE, 0);
+            *page = (self.pages.len() / PAGE) as u32;
+        }
+        let handle = &mut self.pages[(*page as usize - 1) * PAGE + (index as usize & (PAGE - 1))];
+        if *handle == 0 {
+            self.words.push(WordState::UNTOUCHED);
+            *handle = self.words.len() as u32;
+        }
+        *handle as usize - 1
+    }
+}
+
+/// Per-block tracking state, dropped at block boundaries: cross-block
+/// ordering is not happens-before and is out of the checker's per-block
+/// scope, so one block's state is all a recorder ever holds.
 struct BlockState {
     block: u64,
     epochs: Vec<u32>,
     /// FNV-1a over the sequence of barrier pcs each thread passed, to
     /// detect same-count-different-sites divergence.
     site_hash: Vec<u64>,
-    words: HashMap<(RaceSpace, u32, u64), WordState>,
+    shadow: Shadow,
     gating_reported: Vec<u32>,
 }
 
@@ -395,10 +564,10 @@ fn fnv1a(h: u64, x: u64) -> u64 {
 pub struct RaceRecorder {
     opts: RaceCheckOptions,
     report: RaceReport,
-    /// Array-name interner shared across blocks so word keys avoid a
-    /// `String` per access.
+    /// Interned array names; word keys and findings refer to them by id.
     array_names: Vec<String>,
-    array_ids: HashMap<String, u32>,
+    /// Per interned array: master-only under the gating policy?
+    master_only: Vec<bool>,
     cur: Option<BlockState>,
 }
 
@@ -408,26 +577,23 @@ impl RaceRecorder {
             opts,
             report: RaceReport { checked: true, ..Default::default() },
             array_names: Vec::new(),
-            array_ids: HashMap::new(),
+            master_only: Vec::new(),
             cur: None,
         }
     }
 
-    fn intern(&mut self, array: &str) -> u32 {
-        if let Some(&id) = self.array_ids.get(array) {
-            return id;
-        }
-        let id = self.array_names.len() as u32;
-        self.array_names.push(array.to_string());
-        self.array_ids.insert(array.to_string(), id);
-        id
-    }
-
     /// Intern an array name once and reuse the id across
     /// [`RaceRecorder::record_access_by_id`] calls — callers on the hot
-    /// path cache the id instead of paying a string hash per access.
+    /// path cache the id instead of resolving the name per access. The
+    /// gating policy is resolved here too, once per array.
     pub fn intern_id(&mut self, array: &str) -> u32 {
-        self.intern(array)
+        if let Some(id) = self.array_names.iter().position(|a| a == array) {
+            return id as u32;
+        }
+        let master_only = self.opts.policy.as_ref().is_some_and(|p| p.is_master_only(array));
+        self.master_only.push(master_only);
+        self.array_names.push(array.to_string());
+        (self.array_names.len() - 1) as u32
     }
 
     fn file(&mut self, finding: RaceFinding) -> Option<&RaceFinding> {
@@ -447,7 +613,7 @@ impl RaceRecorder {
             block,
             epochs: vec![0; n_threads as usize],
             site_hash: vec![0xcbf29ce484222325; n_threads as usize],
-            words: HashMap::new(),
+            shadow: Shadow::default(),
             gating_reported: Vec::new(),
         });
     }
@@ -463,7 +629,7 @@ impl RaceRecorder {
         write: bool,
         pc: u64,
     ) -> Option<&RaceFinding> {
-        let array_id = self.intern(array);
+        let array_id = self.intern_id(array);
         self.record_access_by_id(space, array_id, index, thread, write, pc)
     }
 
@@ -478,116 +644,93 @@ impl RaceRecorder {
         write: bool,
         pc: u64,
     ) -> Option<&RaceFinding> {
-        let array: &str = &self.array_names[array_id as usize];
         let Some(cur) = &mut self.cur else { return None };
         self.report.accesses_checked += 1;
         let epoch = cur.epochs.get(thread as usize).copied().unwrap_or(0);
-        let access = AccessSite { thread, pc, epoch, write };
+        let site = Site { thread, epoch, pc };
         let block = cur.block;
 
         // Gating check first: an un-gated broadcast store is both a W/W
         // race and a policy violation; report the policy violation once per
         // array.
-        let mut gating: Option<RaceFinding> = None;
-        if write {
-            if let Some(policy) = &self.opts.policy {
-                if policy.is_master_only(array) {
-                    let slave = policy.slave_of(thread);
-                    if slave != 0 && !cur.gating_reported.contains(&array_id) {
-                        cur.gating_reported.push(array_id);
-                        gating = Some(RaceFinding::MasterGatingViolation {
-                            block,
-                            space,
-                            array: array.to_string(),
-                            index,
-                            thread,
-                            slave,
-                            pc,
-                        });
-                    }
-                }
+        let mut gating_slave: Option<u32> = None;
+        if write && self.master_only[array_id as usize] {
+            let slave = self.opts.policy.as_ref().map_or(0, |p| p.slave_of(thread));
+            if slave != 0 && !cur.gating_reported.contains(&array_id) {
+                cur.gating_reported.push(array_id);
+                gating_slave = Some(slave);
             }
         }
 
-        let word = cur.words.entry((space, array_id, index)).or_default();
+        let n_threads = cur.epochs.len();
+        let sh = &mut cur.shadow;
+        let h = sh.word(array_id as usize * 2 + space as usize, index);
+        let Shadow { words, more, .. } = sh;
+        let word = &mut words[h];
         let mut race: Option<(RaceKind, AccessSite)> = None;
-        if !word.reported {
-            if let Some(wr) = word.last_write {
+        if word.flags & REPORTED == 0 {
+            let wr = word.last_write;
+            if word.flags & HAS_WRITE != 0 && wr.thread != thread && wr.epoch == epoch {
                 // A same-epoch prior write by another thread always
                 // conflicts: W/W if we write, R/W if we read.
-                if wr.thread != thread && wr.epoch == epoch {
-                    race = Some((
-                        if write { RaceKind::WriteWrite } else { RaceKind::ReadWrite },
-                        wr,
-                    ));
-                }
-            }
-            if race.is_none() && write {
-                if let Some(rd) = word
-                    .reads
-                    .iter()
-                    .find(|r| r.thread != thread && r.epoch == epoch)
-                {
-                    race = Some((RaceKind::ReadWrite, *rd));
-                }
+                let kind = if write { RaceKind::WriteWrite } else { RaceKind::ReadWrite };
+                race = Some((kind, wr.public(true)));
+            } else if write && word.flags & HAS_READ != 0 {
+                let conflicts = |r: &Site| r.thread != thread && r.epoch == epoch;
+                let later = match word.more {
+                    0 => &[][..],
+                    m => &more[m as usize - 1].sites[..],
+                };
+                race = std::iter::once(&word.first_read)
+                    .chain(later)
+                    .find(|r| conflicts(r))
+                    .map(|r| (RaceKind::ReadWrite, r.public(false)));
             }
         }
         if race.is_some() {
-            word.reported = true;
+            word.flags |= REPORTED;
         }
 
-        // Update word state: writes supersede; reads keep one slot per
-        // thread (dedup goes through the lazy thread->slot index once the
-        // reader set is large; the vector contents and order are
-        // unchanged either way).
+        // Writes supersede; reads keep one slot per thread, in first-read
+        // order.
         if write {
-            word.last_write = Some(access);
-            word.reads.clear();
-            word.read_map = None;
-        } else {
-            const READ_MAP_AT: usize = 16;
-            let slot = if let Some(m) = &word.read_map {
-                m.get(&thread).copied()
-            } else if word.reads.len() >= READ_MAP_AT {
-                let m: HashMap<u32, u32> = word
-                    .reads
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| (r.thread, i as u32))
-                    .collect();
-                let slot = m.get(&thread).copied();
-                word.read_map = Some(m);
-                slot
-            } else {
-                word.reads.iter().position(|r| r.thread == thread).map(|i| i as u32)
-            };
-            match slot {
-                Some(i) => word.reads[i as usize] = access,
-                None => {
-                    if let Some(m) = &mut word.read_map {
-                        m.insert(thread, word.reads.len() as u32);
-                    }
-                    word.reads.push(access);
-                }
+            word.last_write = site;
+            word.flags = (word.flags | HAS_WRITE) & !HAS_READ;
+            if word.more != 0 {
+                more[word.more as usize - 1].clear();
             }
+        } else if word.flags & HAS_READ == 0 || word.first_read.thread == thread {
+            word.first_read = site;
+            word.flags |= HAS_READ;
+        } else {
+            if word.more == 0 {
+                more.push(MoreReads::default());
+                word.more = more.len() as u32;
+            }
+            more[word.more as usize - 1].read(site, n_threads);
         }
 
-        let array = self.array_names[array_id as usize].clone();
-        if let Some(f) = gating {
-            self.file(f);
-        }
-        if let Some((kind, prev)) = race {
-            return self.file(RaceFinding::MemoryRace {
-                space,
+        if let Some(slave) = gating_slave {
+            self.file(RaceFinding::MasterGatingViolation {
                 block,
-                array,
+                space,
+                array: self.array_names[array_id as usize].clone(),
                 index,
-                kind,
-                first: prev,
-                second: access,
+                thread,
+                slave,
+                pc,
             });
         }
-        None
+        let (kind, first) = race?;
+        self.file(RaceFinding::MemoryRace {
+            space,
+            block,
+            array: self.array_names[array_id as usize].clone(),
+            index,
+            kind,
+            first,
+            second: site.public(write),
+        })
     }
 
     /// One thread passed a barrier at site `pc`.
@@ -763,6 +906,68 @@ mod tests {
         let rep = r.finish();
         assert_eq!(rep.findings.len(), 2);
         assert!(rep.truncated);
+    }
+
+    #[test]
+    fn large_reader_sets_keep_slot_order() {
+        // 39 readers in reverse thread order: past the thread -> slot
+        // index threshold, and out of thread order.
+        let mut r = rec();
+        r.begin_block(0, 64);
+        for t in (1..40).rev() {
+            r.record_access(RaceSpace::Shared, "b", 0, t, false, 100 - t as u64);
+        }
+        // A re-read moves the site but keeps the slot.
+        r.record_access(RaceSpace::Shared, "b", 0, 38, false, 200);
+        // Thread 39's own read (slot 0) is no conflict; slot 1 is.
+        let f = r.record_access(RaceSpace::Shared, "b", 0, 39, true, 300).cloned();
+        match f {
+            Some(RaceFinding::MemoryRace { kind, first, second, .. }) => {
+                assert_eq!(kind, RaceKind::ReadWrite);
+                assert_eq!((first.thread, first.pc, first.write), (38, 200, false));
+                assert_eq!((second.thread, second.pc, second.write), (39, 300, true));
+            }
+            other => panic!("expected a read-write race, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn far_indices_are_tracked_like_near_ones() {
+        let mut r = rec();
+        r.begin_block(0, 2);
+        r.record_access(RaceSpace::Global, "a", 1 << 40, 0, true, 1);
+        assert!(r.record_access(RaceSpace::Global, "a", (1 << 40) + 1, 1, true, 2).is_none());
+        assert!(r.record_access(RaceSpace::Global, "a", 0, 1, true, 3).is_none());
+        assert!(r.record_access(RaceSpace::Global, "a", 1 << 40, 1, true, 4).is_some());
+        assert_eq!(r.finish().findings.len(), 1);
+    }
+
+    #[test]
+    fn appended_block_reports_match_one_recorder() {
+        // Each block files two write-write races; the cap of 3 runs out in
+        // the second block.
+        let check_block = |r: &mut RaceRecorder, block: u64, pc0: u64| {
+            r.begin_block(block, 2);
+            for word in 0..2 {
+                r.record_access(RaceSpace::Shared, "a", word, 0, true, pc0 + 2 * word);
+                r.record_access(RaceSpace::Shared, "a", word, 1, true, pc0 + 2 * word + 1);
+            }
+            r.end_block();
+        };
+        let opts = RaceCheckOptions { max_findings: Some(3), policy: None };
+        let mut one = RaceRecorder::new(opts.clone());
+        check_block(&mut one, 0, 0);
+        check_block(&mut one, 1, 10);
+        let want = one.finish();
+
+        let mut launch = RaceReport { checked: true, ..Default::default() };
+        for (block, base) in [(0, 0), (1, 10)] {
+            let mut r = RaceRecorder::new(opts.clone());
+            check_block(&mut r, block, 0);
+            launch.append(r.finish(), base, &opts);
+        }
+        assert_eq!(launch.to_json(), want.to_json());
+        assert_eq!((launch.findings.len(), launch.truncated), (3, true));
     }
 
     #[test]

@@ -67,13 +67,18 @@ trace-replay() {
     || { echo "npcc --replay is not deterministic" >&2; exit 1; }
 }
 
-# Race-freedom gate: every paper workload's transformed kernel must pass
-# the happens-before checker at slave sizes {2,4,8} (and its dropped-barrier
-# / un-gated-broadcast mutants must fail it), both through the test suites
-# and through the npcc --check-races CLI exit codes.
+# Race-freedom gate, the checker end to end: the recorder's unit tests,
+# the property suite (including the recorder against its reference model),
+# serial and parallel race reports byte-identical through the per-block
+# merge, every paper workload's transformed kernel passing the
+# happens-before checker at slave sizes {2,4,8} (and its dropped-barrier /
+# un-gated-broadcast mutants failing it), both through the test suites and
+# through the npcc --check-races CLI exit codes.
 racecheck() {
-  cargo test --release -q -p cuda-np --test conformance
+  cargo test --release -q -p np-gpu-sim --lib racecheck
   cargo test --release -q --test racecheck_properties
+  cargo test --release -q -p cuda-np --test parallel_determinism
+  cargo test --release -q -p cuda-np --test conformance
   cargo test --release -q -p cuda-np --test npcc_cli
 }
 
