@@ -25,6 +25,10 @@ use np_kernel_ir::kernel::{Kernel, Param, ParamKind};
 use np_kernel_ir::stmt::Stmt;
 use np_kernel_ir::types::MemSpace;
 
+/// Shared-memory budget in bytes per thread for the `Auto` policy (the
+/// paper's 384).
+const SHARED_BUDGET_PER_THREAD: u32 = 384;
+
 /// What happened to one local array.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LocalArrayChoice {
@@ -206,7 +210,6 @@ pub fn plan_and_rewrite(
     kernel: &mut Kernel,
     map: &ThreadMap,
     strategy: LocalArrayStrategy,
-    shared_budget_per_thread: u32,
 ) -> Result<Vec<LocalArrayPlan>, TransformError> {
     let locals: Vec<(String, u32, np_kernel_ir::types::Scalar)> = kernel
         .declared_arrays()
@@ -232,8 +235,7 @@ pub fn plan_and_rewrite(
         let s = map.slave_size;
         let m = map.master_size;
         let fits_shared = {
-            let budget = shared_budget_per_thread
-                .saturating_sub(baseline_shared / m.max(1));
+            let budget = SHARED_BUDGET_PER_THREAD.saturating_sub(baseline_shared / m.max(1));
             len * 4 <= budget
         };
 
@@ -369,8 +371,7 @@ mod tests {
     #[test]
     fn auto_partitions_iterator_indexed_arrays() {
         let mut k = le_like();
-        let plans =
-            plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::Auto, 384).unwrap();
+        let plans = plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::Auto).unwrap();
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].choice, LocalArrayChoice::Register { per_slave_len: 19 });
         // The declaration became a register array of ceil(150/8) = 19.
@@ -385,8 +386,7 @@ mod tests {
     #[test]
     fn force_shared_uses_master_major_layout() {
         let mut k = le_like();
-        let plans =
-            plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::ForceShared, 384).unwrap();
+        let plans = plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::ForceShared).unwrap();
         assert_eq!(plans[0].choice, LocalArrayChoice::Shared { total_len: 32 * 150 });
         let info = k.array_info("Grad_sm").unwrap();
         assert_eq!(info.space, MemSpace::Shared);
@@ -397,8 +397,7 @@ mod tests {
     #[test]
     fn force_global_adds_a_parameter() {
         let mut k = le_like();
-        let plans =
-            plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::ForceGlobal, 384).unwrap();
+        let plans = plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::ForceGlobal).unwrap();
         match &plans[0].choice {
             LocalArrayChoice::Global { param, elems_per_block } => {
                 assert_eq!(param, "Grad_g");
@@ -421,11 +420,11 @@ mod tests {
         b.store("out", tidx(), load("buf", i(0)));
         let mut k = b.finish();
         assert!(matches!(
-            plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::ForceRegister, 384),
+            plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::ForceRegister),
             Err(TransformError::NonCanonicalLoop(_))
         ));
         // Auto falls back to shared (64*4 = 256 <= 384).
-        let plans = plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::Auto, 384).unwrap();
+        let plans = plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::Auto).unwrap();
         assert!(matches!(plans[0].choice, LocalArrayChoice::Shared { .. }));
     }
 
@@ -440,7 +439,7 @@ mod tests {
         });
         b.store("out", tidx(), load("big", i(0)));
         let mut k = b.finish();
-        let plans = plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::Auto, 384).unwrap();
+        let plans = plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::Auto).unwrap();
         assert!(matches!(plans[0].choice, LocalArrayChoice::Global { .. }));
     }
 
@@ -456,7 +455,7 @@ mod tests {
             b.store("out", v("n"), f(2.0));
         });
         let mut k = b.finish();
-        let plans = plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::Auto, 384).unwrap();
+        let plans = plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::Auto).unwrap();
         assert!(plans.is_empty());
         assert_eq!(k.array_info("scratch").unwrap().space, MemSpace::Local);
     }
@@ -472,7 +471,7 @@ mod tests {
         });
         b.store("out", tidx(), v("acc"));
         let mut k = b.finish();
-        let plans = plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::Auto, 384).unwrap();
+        let plans = plan_and_rewrite(&mut k, &map(), LocalArrayStrategy::Auto).unwrap();
         assert!(
             matches!(plans[0].choice, LocalArrayChoice::Shared { .. }),
             "blocked scan distribution is incompatible with cyclic partitioning"

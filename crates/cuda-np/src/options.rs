@@ -36,9 +36,6 @@ pub struct NpOptions {
     pub pad: bool,
     /// Hardware cap on threads per block (1024 on Kepler).
     pub max_block_threads: u32,
-    /// Shared-memory budget in bytes per thread for the local-array policy
-    /// (the paper uses 384).
-    pub shared_budget_per_thread: u32,
     /// Adaptive small-loop gating: a pragma loop whose *static* trip count
     /// is below this threshold is emitted as a master-only serial loop —
     /// the group communication would cost more than the saved iterations.
@@ -66,7 +63,6 @@ impl NpOptions {
             use_shfl: None,
             pad: false,
             max_block_threads: 1024,
-            shared_budget_per_thread: 384,
             serial_below: None,
             loop_comm: Vec::new(),
         }

@@ -215,7 +215,7 @@ pub fn transform(kernel: &Kernel, opts: &NpOptions) -> Result<Transformed, Trans
     // references to __np_master_id, defined by the prologue below).
     let local_plans = {
         let _obs = np_obs::span("transform.locals");
-        plan_and_rewrite(&mut work, &map, opts.local_array, opts.shared_budget_per_thread)?
+        plan_and_rewrite(&mut work, &map, opts.local_array)?
     };
 
     // Replace the original thread identity with the master id.

@@ -2,7 +2,7 @@
 //! slave counts × {inter-warp, intra-warp} — and picks the fastest by
 //! running each on the simulator. Candidates are evaluated on a bounded
 //! pool of host threads (`min(available_parallelism, candidates)`) via
-//! `crossbeam::scope` since each simulation is independent; results are
+//! `std::thread::scope` since each simulation is independent; results are
 //! collected into per-candidate slots so [`TuneResult::entries`] stays in
 //! candidate order regardless of which worker finished first.
 
@@ -504,9 +504,9 @@ fn evaluate_indices(
     let results: Vec<std::sync::Mutex<Option<CandResult>>> =
         indices.iter().map(|_| std::sync::Mutex::new(None)).collect();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..n_workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let pos = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let Some(&ci) = indices.get(pos) else { break };
                 let cand = &candidates[ci];
@@ -561,10 +561,7 @@ fn evaluate_indices(
                 *results[pos].lock().expect("tuner slot lock") = Some(result);
             });
         }
-    })
-    // Internal invariant: the shim's scope only errors on an unjoined child
-    // panic, and every worker's panics are caught above.
-    .expect("tuner scope");
+    });
 
     // Splice the per-candidate logs back under the tune span, strictly in
     // `indices` order (never completion order).

@@ -7,8 +7,6 @@
 //! so that the simulator reproduces the qualitative behaviour the paper
 //! depends on, not any particular absolute GB/s.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of threads in a warp. Fixed at 32 for every Nvidia architecture
 /// the paper considers; the code base assumes this constant throughout.
 pub const WARP_SIZE: u32 = 32;
@@ -19,7 +17,7 @@ pub const WARP_SIZE: u32 = 32;
 pub const TICKS_PER_CYCLE: u64 = 16;
 
 /// Timing and capacity description of one simulated device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceConfig {
     /// Marketing name, used in reports. Owned so descriptors loaded from
     /// files (see [`crate::device`]) are first-class citizens next to the
@@ -105,7 +103,7 @@ pub struct DeviceConfig {
 /// own measurements on a K20c (Section 2.1): enabling the device runtime
 /// alone drops the memcpy microbenchmark from 142 GB/s to 63 GB/s, and each
 /// device-side kernel launch has a large fixed cost.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DynParConfig {
     /// Multiplicative slowdown applied to a kernel merely *compiled* with
     /// dynamic parallelism enabled (the "dynamic-parallelism-enabled kernel

@@ -17,10 +17,9 @@
 //! be simulated.
 
 use crate::config::DeviceConfig;
-use serde::{Deserialize, Serialize};
 
 /// Description of a dynamic-parallelism execution pattern.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DynParLaunchPlan {
     /// Number of child-kernel launches issued by the parent grid.
     pub num_launches: u64,

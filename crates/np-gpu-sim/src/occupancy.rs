@@ -6,10 +6,9 @@
 //! thread-level parallelism without a proportional resource increase.
 
 use crate::config::{DeviceConfig, WARP_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// Static resource demand of one kernel launch configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelResources {
     /// Threads per block.
     pub block_size: u32,
@@ -24,7 +23,7 @@ pub struct KernelResources {
 }
 
 /// Which resource capped the number of resident blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Limiter {
     /// The per-SMX block-slot limit.
     BlockSlots,
@@ -37,7 +36,7 @@ pub enum Limiter {
 }
 
 /// Result of the occupancy calculation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Occupancy {
     pub blocks_per_smx: u32,
     pub warps_per_smx: u32,

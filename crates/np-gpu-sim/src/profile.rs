@@ -141,10 +141,10 @@ impl ProfileCounters {
         ]
     }
 
-    /// One deterministic JSON object (no trailing newline). The crate's
-    /// serde shim is a no-op, so serialization is hand-rolled; integer
-    /// counters print exactly and the two derived ratios use a fixed
-    /// 6-decimal format so the output is byte-stable.
+    /// One deterministic JSON object (no trailing newline), written by
+    /// hand like every artifact in the workspace; integer counters print
+    /// exactly and the two derived ratios use a fixed 6-decimal format so
+    /// the output is byte-stable.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
         for (name, v) in self.fields() {

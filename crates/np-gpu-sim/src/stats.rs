@@ -1,10 +1,9 @@
 //! Aggregate statistics produced by one timing simulation.
 
 use crate::timeline::{StallBreakdown, Timeline};
-use serde::{Deserialize, Serialize};
 
 /// Counters and the final cycle count for one kernel launch.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimingReport {
     /// Total kernel execution time in core cycles (after wave scaling).
     pub cycles: u64,

@@ -31,11 +31,10 @@
 //! Everything here is a pure function of the deterministic engine schedule:
 //! reruns produce byte-identical JSON, chrome-trace, and Gantt output.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// What one SMX was doing during one span of cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SmxState {
     /// The front end issued warp instructions.
     Issue,
@@ -100,7 +99,7 @@ impl SmxState {
 /// Cycles spent in each [`SmxState`], for one SMX or summed over a device.
 /// The buckets of a finished launch sum exactly to
 /// `simulated_cycles × SMX count` (the engine asserts it).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StallBreakdown {
     pub issue: u64,
     pub issue_limit: u64,
@@ -199,7 +198,7 @@ impl StallBreakdown {
 }
 
 /// One coalesced span of cycles in which an SMX stayed in a single state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interval {
     /// First cycle of the span (inclusive).
     pub start: u64,
@@ -210,7 +209,7 @@ pub struct Interval {
 
 /// One SMX's recorded track: a bounded ring of coalesced intervals plus its
 /// exact (never-evicted) breakdown.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SmxTrack {
     /// Recent intervals, oldest first. Bounded by the recorder capacity —
     /// when full, the oldest interval is evicted (see `evicted_*`).
@@ -251,7 +250,7 @@ impl SmxTrack {
 /// The flight recorder of one launch: a track per SMX. Built by the engine,
 /// finalized at end of run, carried on
 /// [`crate::stats::TimingReport::timeline`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     pub tracks: Vec<SmxTrack>,
     /// One past the last attributed cycle (== `simulated_cycles` once

@@ -328,9 +328,9 @@ pub fn sweep_matrix_with_policy(
     let slots: Vec<std::sync::Mutex<Option<WorkloadOutcome>>> =
         (0..cells).map(|_| std::sync::Mutex::new(None)).collect();
     let n_workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(cells.max(1));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..n_workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= cells {
                     break;
@@ -344,8 +344,7 @@ pub fn sweep_matrix_with_policy(
                 *slots[i].lock().unwrap() = Some(outcome);
             });
         }
-    })
-    .expect("matrix sweep worker panicked");
+    });
     let mut it = slots.into_iter().map(|s| {
         s.into_inner().unwrap().expect("every matrix cell ran exactly once")
     });

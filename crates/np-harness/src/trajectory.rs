@@ -25,8 +25,9 @@ use np_obs::json::{quote, Json};
 /// that produced it, not just the device's display name. v3 added the
 /// per-workload `"tune"` block (search policy, evaluated/skipped candidate
 /// counts, fallback flag, the cost model's rank of the measured winner) and
-/// a `"skipped"` counter in `"candidates"`; [`check_against_baseline`] only
-/// reads cycle fields, so v2 baselines still gate v3 documents.
+/// a `"skipped"` counter in `"candidates"`; [`check_against_baseline`] reads
+/// only the device digest and cycle fields, so v2 baselines still gate v3
+/// documents.
 pub const SCHEMA: &str = "np-bench-trajectory-v3";
 
 fn np_type_str(t: NpType) -> &'static str {
@@ -158,8 +159,15 @@ fn name_of(w: &Json) -> Option<&str> {
     w.get("name").and_then(Json::as_str)
 }
 
+fn digest_of(doc: &Json) -> Option<&str> {
+    doc.get("device_digest").and_then(Json::as_str)
+}
+
 /// Compare a freshly generated trajectory against a committed baseline.
 ///
+/// A baseline that records a `device_digest` only gates a document from the
+/// same device: a differing or missing digest in the current document is
+/// one diagnostic, so a renamed or re-parameterised device never passes.
 /// For every workload in the baseline, `baseline_cycles` and `best_cycles`
 /// must match within relative `tolerance` (e.g. `0.02` = ±2%); a workload
 /// missing from the current document, a parse failure, or a cycle count
@@ -177,6 +185,18 @@ pub fn check_against_baseline(
         (_, Err(e)) => return Err(vec![format!("baseline does not parse: {e}")]),
     };
     let mut problems = Vec::new();
+    if let Some(want) = digest_of(&base) {
+        match digest_of(&cur) {
+            Some(got) if got == want => {}
+            Some(got) => problems.push(format!(
+                "device_digest {got} differs from the baseline's {want}: \
+                 the device was renamed or re-parameterised"
+            )),
+            None => problems.push(format!(
+                "device_digest missing from current results (baseline has {want})"
+            )),
+        }
+    }
     if workloads(&base).is_empty() {
         problems.push("baseline document lists no workloads".to_string());
     }
@@ -296,6 +316,25 @@ mod tests {
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].contains("baseline_cycles"), "{errs:?}");
         assert!(errs[0].contains("1000 -> 1500"), "{errs:?}");
+    }
+
+    #[test]
+    fn device_digest_must_match_when_the_baseline_has_one() {
+        let with_digest = |digest: &str| {
+            doc(&[("TMV", 1000, 400)])
+                .replacen("{\n", &format!("{{\n  \"device_digest\": \"{digest}\",\n"), 1)
+        };
+        let base = with_digest("0297aea925af8380");
+        check_against_baseline(&base, &base, 0.0).unwrap();
+        let errs = check_against_baseline(&with_digest("fea3122af784bc04"), &base, 0.0)
+            .unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("fea3122af784bc04") && errs[0].contains("0297aea925af8380"));
+        let errs = check_against_baseline(&doc(&[("TMV", 1000, 400)]), &base, 0.0).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("device_digest missing"), "{errs:?}");
+        // A baseline without a digest gates on cycles alone.
+        check_against_baseline(&base, &doc(&[("TMV", 1000, 400)]), 0.0).unwrap();
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Expressions of the kernel IR.
 
 use crate::types::Scalar;
-use serde::{Deserialize, Serialize};
 
 /// Built-in thread/block identity values (CUDA specials).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Special {
     ThreadIdxX,
     ThreadIdxY,
@@ -38,7 +37,7 @@ impl Special {
 
 /// Binary operators. Comparison operators yield `Bool`; the rest preserve
 /// their operand type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     Add,
     Sub,
@@ -96,7 +95,7 @@ impl BinOp {
 }
 
 /// Unary operators. The transcendental ones execute on the SFU pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     Neg,
     Not,
@@ -132,7 +131,7 @@ impl UnOp {
 }
 
 /// Variants of the Kepler `__shfl` family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShflMode {
     /// `__shfl(var, lane, width)` — read from an absolute lane in the group.
     Idx,
@@ -145,7 +144,7 @@ pub enum ShflMode {
 }
 
 /// An expression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     ImmF32(f32),
     ImmI32(i32),

@@ -2,10 +2,9 @@
 
 use crate::stmt::{visit_stmts, Stmt};
 use crate::types::{Dim3, MemSpace, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// Kind of one kernel parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParamKind {
     /// A scalar argument passed by value.
     Scalar(Scalar),
@@ -18,14 +17,14 @@ pub enum ParamKind {
 }
 
 /// One kernel parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     pub name: String,
     pub kind: ParamKind,
 }
 
 /// A GPU kernel in IR form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     pub name: String,
     pub params: Vec<Param>,

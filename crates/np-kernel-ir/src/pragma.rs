@@ -15,10 +15,8 @@
 //! initialize-to-zero-then-reduce trick of Section 3.2; `num_threads`,
 //! `np_type` and `sm` are the tuning hints of Section 3.6.
 
-use serde::{Deserialize, Serialize};
-
 /// Reduction / scan combining operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RedOp {
     Add,
     Mul,
@@ -48,7 +46,7 @@ impl RedOp {
 }
 
 /// Preferred iteration-distribution scheme (Section 3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NpType {
     /// Slaves of one master live in *different* warps (master id along X).
     InterWarp,
@@ -57,7 +55,7 @@ pub enum NpType {
 }
 
 /// A parsed `np parallel for` directive.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NpPragma {
     pub reductions: Vec<(RedOp, String)>,
     pub scans: Vec<(RedOp, String)>,

@@ -3,10 +3,9 @@
 use crate::expr::Expr;
 use crate::pragma::NpPragma;
 use crate::types::{MemSpace, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// A statement. Bodies are plain `Vec<Stmt>`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// Declare (and optionally initialize) a per-thread scalar.
     DeclScalar { name: String, ty: Scalar, init: Option<Expr> },

@@ -1,9 +1,7 @@
 //! Scalar types, memory spaces, and launch geometry.
 
-use serde::{Deserialize, Serialize};
-
 /// Scalar element types supported by the IR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scalar {
     F32,
     I32,
@@ -30,7 +28,7 @@ impl Scalar {
 }
 
 /// Where an array lives. Scalars always live in registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSpace {
     /// Off-chip device memory, visible to every thread.
     Global,
@@ -51,7 +49,7 @@ pub enum MemSpace {
 }
 
 /// Block / grid dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dim3 {
     pub x: u32,
     pub y: u32,

@@ -188,8 +188,18 @@ tuner-policy() {
   done
 }
 
+# Benchmark-of-record build: perfbench/ is a package with a workspace of
+# its own that builds against ../crates by path, so a crate change can
+# break it while the repository workspace stays green. `--locked` keeps
+# its committed Cargo.lock authoritative; the smoke tests run every
+# workload but tune-paper once.
+perfbench() {
+  cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+  cargo test --offline --locked --manifest-path perfbench/Cargo.toml
+}
+
 sections=(core golden-check trace-replay racecheck bench-trajectory perf-smoke
-  serve-soak device-matrix obs-determinism tuner-policy)
+  serve-soak device-matrix obs-determinism tuner-policy perfbench)
 if [ $# -eq 0 ]; then
   for section in "${sections[@]}"; do
     "$section"

@@ -12,11 +12,11 @@
 //! ```
 
 use cuda_np::tuner::{alloc_extra_buffers, autotune_with_policy, default_candidates};
-use cuda_np::TunePolicy;
-use np_exec::launch;
+use cuda_np::{transform, NpOptions, TunePolicy};
+use np_exec::{launch, KernelReport};
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::pragma::NpType;
-use np_workloads::{all_workloads, Scale, Workload};
+use np_workloads::{all_workloads, nn::Nn, tmv::Tmv, Scale, Workload};
 use std::path::PathBuf;
 
 fn goldens_dir() -> PathBuf {
@@ -128,4 +128,51 @@ fn reruns_are_byte_identical() {
         let b = snapshot(w.as_ref(), &dev);
         assert_eq!(a, b, "{}: profile snapshot must be deterministic", w.name());
     }
+}
+
+/// Launch `w` untransformed, or transformed with `opts`, on `dev`.
+fn run(w: &dyn Workload, dev: &DeviceConfig, opts: Option<NpOptions>) -> KernelReport {
+    let Some(opts) = opts else {
+        let mut args = w.make_args();
+        return launch(dev, &w.kernel(), w.grid(), &mut args, &w.sim_options()).unwrap();
+    };
+    let t = transform(&w.kernel(), &opts).unwrap();
+    let mut args = alloc_extra_buffers(w.make_args(), &t, w.grid());
+    launch(dev, &t.kernel, w.grid(), &mut args, &w.sim_options()).unwrap()
+}
+
+/// The paper's mechanisms hold in the counters, not only in the cycles: an
+/// incidental counter regression fails here even when timing still looks
+/// plausible.
+#[test]
+fn counters_show_the_paper_mechanisms() {
+    let dev = DeviceConfig::gtx680();
+    let tmv = Tmv::new(Scale::Test);
+    let intra8 = |use_shfl: bool| NpOptions { use_shfl: Some(use_shfl), ..NpOptions::intra(8) };
+    let baseline = run(&tmv, &dev, None);
+    let shfl = run(&tmv, &dev, Some(intra8(true)));
+    let shared = run(&tmv, &dev, Some(intra8(false)));
+
+    // Figure 16: the shfl variant combines live-outs in registers; the
+    // shared variant stages through shared memory instead.
+    assert!(shfl.profile.total.shfl_ops() > 0, "intra+shfl must emit shfl traffic");
+    assert_eq!(shared.profile.total.shfl_ops(), 0, "no-shfl variant must not shfl");
+    assert!(
+        shared.profile.total.shared_accesses > shfl.profile.total.shared_accesses,
+        "shared-memory staging must show up in the counters"
+    );
+    for rep in [&baseline, &shfl, &shared] {
+        let e = rep.profile.coalescing_efficiency();
+        assert!(e > 0.0 && e <= 1.0, "efficiency out of range: {e}");
+        assert!(rep.profile.total.instructions > 0);
+    }
+
+    // Section 5.3, on the workload that exhibits it: NN's baseline loop is
+    // badly strided, and slave threads coalesce it.
+    let nn = Nn::new(Scale::Test);
+    let (base_e, np_e) = (
+        run(&nn, &dev, None).profile.coalescing_efficiency(),
+        run(&nn, &dev, Some(NpOptions::intra(8))).profile.coalescing_efficiency(),
+    );
+    assert!(np_e > base_e, "NP transform must improve NN coalescing: {base_e:.3} -> {np_e:.3}");
 }
