@@ -114,7 +114,7 @@ use cuda_np::{
 };
 use np_exec::{capture_launch, launch, replay_launch, RaceCheckMode, SimOptions};
 use np_gpu_sim::racecheck::RaceCheckOptions;
-use np_gpu_sim::{CapturedLaunch, CapturedRaceMode, DeviceConfig, ProfileCounters};
+use np_gpu_sim::{CapturedLaunch, DeviceConfig, ProfileCounters};
 use np_kernel_ir::analysis::barriers::count_barriers;
 use np_kernel_ir::kernel::Kernel;
 use np_kernel_ir::pragma::NpType;
@@ -415,14 +415,8 @@ fn replay_main(
             return ExitCode::FAILURE;
         }
     };
-    let mut sim = SimOptions::full();
+    let mut sim = SimOptions::full().with_race_check(cap.race_mode);
     sim.max_blocks = cap.max_blocks;
-    sim.detect_races = cap.detect_races;
-    sim.check_races = match cap.race_mode {
-        CapturedRaceMode::Off => RaceCheckMode::Off,
-        CapturedRaceMode::Record => RaceCheckMode::Record,
-        CapturedRaceMode::Fatal => RaceCheckMode::Fatal,
-    };
     if let Some(b) = watchdog {
         sim = sim.with_watchdog(b);
     }

@@ -1,9 +1,10 @@
 //! Typed simulation faults — the compute-sanitizer layer.
 //!
 //! A [`SimFault`] is a kernel contract violation *detected by the
-//! simulator*: out-of-bounds accesses, shared-memory races, divergent
-//! barriers, undeclared or ill-typed names, runaway kernels caught by the
-//! watchdog, and injected hardware faults. Faults are ordinary values —
+//! simulator*: out-of-bounds accesses, data races (under
+//! [`crate::RaceCheckMode::Fatal`]), divergent barriers, undeclared or
+//! ill-typed names, runaway kernels caught by the watchdog, and injected
+//! hardware faults. Faults are ordinary values —
 //! the interpreter threads them out through `Result` instead of
 //! panicking, so one illegal transformed kernel cannot take down an
 //! autotuning run or a harness sweep (the paper's Section-5 tuner runs
@@ -25,16 +26,6 @@ pub enum FaultKind {
         /// The lane's index expression value (may be negative).
         index: i64,
         len: usize,
-        write: bool,
-    },
-    /// Two warps touched the same shared-memory word between barriers
-    /// with at least one write.
-    SharedRace {
-        array: String,
-        index: usize,
-        prev_warp: u64,
-        prev_write: bool,
-        warp: u64,
         write: bool,
     },
     /// A `__syncthreads()` executed under non-uniform control flow.
@@ -75,7 +66,6 @@ impl FaultKind {
     pub fn tag(&self) -> &'static str {
         match self {
             FaultKind::OutOfBounds { .. } => "out-of-bounds",
-            FaultKind::SharedRace { .. } => "shared-memory race",
             FaultKind::BarrierDivergence { .. } => "barrier divergence",
             FaultKind::UndeclaredName { .. } => "undeclared name",
             FaultKind::IllTyped { .. } => "ill-typed",
@@ -150,13 +140,6 @@ impl std::fmt::Display for SimFault {
             FaultKind::OutOfBounds { space, array, index, len, write } => write!(
                 f,
                 ": {} {array}[{index}] (len {len}, {space:?} space)",
-                if *write { "write" } else { "read" },
-            )?,
-            FaultKind::SharedRace { array, index, prev_warp, prev_write, warp, write } => write!(
-                f,
-                ": {array}[{index}] accessed by warp {prev_warp} ({}) and warp {warp} ({}) \
-                 without an intervening __syncthreads()",
-                if *prev_write { "write" } else { "read" },
                 if *write { "write" } else { "read" },
             )?,
             FaultKind::BarrierDivergence { detail } => write!(f, ": {detail}")?,

@@ -344,7 +344,7 @@ impl<'a> LaunchCtx<'a> {
         &mut self,
         ik: &InternedKernel,
         site: ArraySite,
-        index: u64,
+        index: u32,
         thread: u32,
         write: bool,
         warp: u64,
@@ -397,9 +397,8 @@ impl<'a> LaunchCtx<'a> {
 
     /// Every thread of the current block passed a barrier.
     fn race_barrier_all(&mut self) {
-        let pc = self.step;
         if let RaceSink::Recorder { rec, .. } = &mut self.race {
-            rec.barrier_all(pc);
+            rec.barrier_all();
         }
     }
 
@@ -460,10 +459,6 @@ struct WarpCtx {
     builder: TraceBuilder,
 }
 
-/// Last accessor of each shared-memory word since the previous barrier:
-/// (warp id, was a write), indexed by shared-array slot then element.
-type RaceMap = Vec<Vec<Option<(u64, bool)>>>;
-
 /// Per-block interpreter state.
 struct BlockCtx {
     shared: Vec<RawArray>,
@@ -471,8 +466,6 @@ struct BlockCtx {
     block_dim: Dim3,
     grid_dim: Dim3,
     local_layout: LocalLayout,
-    /// When armed: the shared-memory race tracker.
-    race: Option<RaceMap>,
 }
 
 /// Wrap a lane-vector operation error into a fault at a known warp.
@@ -489,57 +482,8 @@ fn vfault(ik: &InternedKernel, warp: u64, e: ValueError) -> SimFault {
     f
 }
 
-impl BlockCtx {
-    /// Record one shared-memory access for race detection; faults on a
-    /// cross-warp conflict where at least one side writes.
-    fn track_shared(
-        &mut self,
-        slot: usize,
-        index: usize,
-        warp: u64,
-        write: bool,
-        ik: &InternedKernel,
-    ) -> Result<(), SimFault> {
-        let Some(tracker) = &mut self.race else { return Ok(()) };
-        let slots = &mut tracker[slot];
-        if let Some((prev_warp, prev_write)) = slots.get(index).copied().flatten() {
-            if prev_warp != warp && (prev_write || write) {
-                return Err(SimFault::new(
-                    &ik.name,
-                    FaultKind::SharedRace {
-                        array: ik.shared[slot].name.clone(),
-                        index,
-                        prev_warp,
-                        prev_write,
-                        warp,
-                        write,
-                    },
-                )
-                .at_warp(warp));
-            }
-        }
-        // Writes dominate reads in the recorded state.
-        if let Some(s) = slots.get_mut(index) {
-            let keep_write = write || s.map(|(_, w)| w).unwrap_or(false);
-            *s = Some((warp, keep_write));
-        }
-        Ok(())
-    }
-
-    /// Barrier: all pre-barrier accesses are now ordered before whatever
-    /// comes next.
-    fn clear_races(&mut self) {
-        if let Some(t) = &mut self.race {
-            for s in t.iter_mut() {
-                s.fill(None);
-            }
-        }
-    }
-}
-
 /// Execute one thread block functionally; returns its timing trace, or the
 /// first fault the sanitizer detected.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_block(
     ik: &InternedKernel,
     dev: &DeviceConfig,
@@ -548,7 +492,6 @@ pub(crate) fn run_block(
     grid_dim: Dim3,
     first_warp_global_id: u64,
     local_bytes_per_thread: u32,
-    detect_races: bool,
 ) -> Result<BlockTrace, SimFault> {
     let block_dim = ik.block_dim;
     let n_threads = block_dim.count() as usize;
@@ -585,11 +528,6 @@ pub(crate) fn run_block(
         grid_dim,
         local_layout: LocalLayout {
             bytes_per_thread: local_bytes_per_thread.max(ik.local_decl_bytes).max(1),
-        },
-        race: if detect_races {
-            Some(ik.shared.iter().map(|d| vec![None; d.len as usize]).collect())
-        } else {
-            None
         },
     };
 
@@ -660,7 +598,6 @@ fn exec_block_level(
         match s {
             IStmt::SyncThreads => {
                 ctx.tick(&ik.name)?;
-                block.clear_races();
                 ctx.race_barrier_all();
                 for w in warps.iter_mut() {
                     w.builder.bar();
@@ -1208,18 +1145,13 @@ fn load_array(
                 touched[ntouched] = (l, i);
                 ntouched += 1;
             }
-            if block.race.is_some() {
-                for &(_, i) in &touched[..ntouched] {
-                    block.track_shared(si, i, wid, false, ik)?;
-                }
-            }
             if ctx.race_armed() {
                 let warp_base = w.warp_in_block * LANES as u32;
                 for &(l, i) in &touched[..ntouched] {
                     ctx.race_access(
                         ik,
                         ArraySite::Shared(si as u32),
-                        i as u64,
+                        i as u32,
                         warp_base + l as u32,
                         false,
                         wid,
@@ -1324,7 +1256,7 @@ fn load_array(
                     ctx.race_access(
                         ik,
                         ArraySite::GlobalParam(ai as u32),
-                        li as u64,
+                        li as u32,
                         warp_base + l as u32,
                         false,
                         wid,
@@ -1402,18 +1334,13 @@ fn store_array(
                 touched[ntouched] = (l, i);
                 ntouched += 1;
             }
-            if block.race.is_some() {
-                for &(_, i) in &touched[..ntouched] {
-                    block.track_shared(si, i, wid, true, ik)?;
-                }
-            }
             if ctx.race_armed() {
                 let warp_base = w.warp_in_block * LANES as u32;
                 for &(l, i) in &touched[..ntouched] {
                     ctx.race_access(
                         ik,
                         ArraySite::Shared(si as u32),
-                        i as u64,
+                        i as u32,
                         warp_base + l as u32,
                         true,
                         wid,
@@ -1513,7 +1440,7 @@ fn store_array(
                     ctx.race_access(
                         ik,
                         ArraySite::GlobalParam(ai as u32),
-                        i as u64,
+                        i as u32,
                         warp_base + l as u32,
                         true,
                         wid,

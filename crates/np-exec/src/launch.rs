@@ -39,13 +39,15 @@ use crate::fault::{FaultKind, SimFault};
 use crate::interp::{bit_set, bitmaps_intersect, run_block, BlockLog, LaunchCtx, StoreRec};
 use crate::machine::{Args, ExecError, GlobalState};
 use crate::resources::estimate_resources;
-use np_gpu_sim::capture::{CapturedLaunch, CapturedRaceMode};
+use np_gpu_sim::capture::CapturedLaunch;
 use np_gpu_sim::config::DeviceConfig;
 use np_gpu_sim::engine::simulate_blocks;
 use np_gpu_sim::mem::inject::InjectConfig;
 use np_gpu_sim::occupancy::{occupancy, KernelResources, Occupancy};
 use np_gpu_sim::profile::ProfileReport;
 use np_gpu_sim::racecheck::{RaceCheckOptions, RaceRecorder, RaceReport};
+/// Re-exported from the simulator, where captures record it.
+pub use np_gpu_sim::racecheck::RaceCheckMode;
 use np_gpu_sim::replay::ReplayError;
 use np_gpu_sim::stats::TimingReport;
 use np_gpu_sim::trace::BlockTrace;
@@ -101,20 +103,6 @@ impl DeadlineSpec {
     }
 }
 
-/// How the happens-before race checker runs for one launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RaceCheckMode {
-    /// Not armed; `KernelReport::race` comes back with `checked == false`.
-    #[default]
-    Off,
-    /// Record every finding into `KernelReport::race`; the launch itself
-    /// still succeeds.
-    Record,
-    /// The first finding aborts the launch with
-    /// [`crate::FaultKind::RaceDetected`].
-    Fatal,
-}
-
 /// Simulation options for one launch.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
@@ -123,13 +111,6 @@ pub struct SimOptions {
     /// produced for the simulated blocks — use full simulation whenever the
     /// numerical result matters.
     pub max_blocks: Option<u64>,
-    /// Override the estimated per-thread/per-block resources (used by
-    /// benchmark specs that pin Table-1 baseline numbers).
-    pub resources_override: Option<KernelResources>,
-    /// Fault on shared-memory data races (two different warps touching the
-    /// same word between barriers with at least one write). Off by default;
-    /// handy when debugging hand-written or transformed kernels.
-    pub detect_races: bool,
     /// Watchdog: fault with [`crate::FaultKind::Watchdog`] once the launch
     /// has interpreted this many steps. `None` disables the watchdog
     /// entirely; the default budget is [`DEFAULT_WATCHDOG_STEPS`].
@@ -144,8 +125,9 @@ pub struct SimOptions {
     /// [`np_gpu_sim::mem::inject`]. Off by default.
     pub fault_injection: Option<InjectConfig>,
     /// The thread-granular happens-before race checker (shared + global
-    /// spaces, barrier epochs). Independent of the older warp-granular
-    /// `detect_races` fast path. Off by default.
+    /// spaces, barrier epochs): [`RaceCheckMode::Record`] fills
+    /// [`KernelReport::race`], [`RaceCheckMode::Fatal`] faults with
+    /// [`FaultKind::RaceDetected`] at the first finding. Off by default.
     pub check_races: RaceCheckMode,
     /// Finding cap and master/slave gating policy for the race checker.
     pub race_options: RaceCheckOptions,
@@ -160,8 +142,6 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             max_blocks: None,
-            resources_override: None,
-            detect_races: false,
             watchdog_steps: Some(DEFAULT_WATCHDOG_STEPS),
             deadline: None,
             fault_injection: None,
@@ -181,11 +161,6 @@ impl SimOptions {
     /// Sampled simulation of at most `n` blocks.
     pub fn sampled(n: u64) -> Self {
         SimOptions { max_blocks: Some(n), ..Default::default() }
-    }
-
-    /// Full simulation with the shared-memory race detector armed.
-    pub fn checked() -> Self {
-        SimOptions { detect_races: true, ..Default::default() }
     }
 
     /// Replace the watchdog step budget (`None` disables it).
@@ -306,7 +281,8 @@ fn device_event(dev: &DeviceConfig) {
 /// execution and are returned (with stores applied) on completion.
 ///
 /// Kernel contract violations (out-of-bounds accesses, races under
-/// `detect_races`, divergent barriers, watchdog timeouts, injected faults)
+/// [`RaceCheckMode::Fatal`], divergent barriers, watchdog timeouts, injected
+/// faults)
 /// never panic: they return [`ExecError::Fault`]. Buffers are returned to
 /// `args` even on a fault, holding whatever partial stores preceded it.
 pub fn launch(
@@ -366,8 +342,7 @@ pub fn capture_launch(
         txn_bytes: dev.txn_bytes,
         l1_line: dev.l1_line,
         resources,
-        detect_races: opts.detect_races,
-        race_mode: captured_race_mode(opts.check_races),
+        race_mode: opts.check_races,
         total_steps: run.steps,
         race: run.race,
         blocks: run.traces,
@@ -381,10 +356,10 @@ pub fn capture_launch(
 
 /// Re-time a capture under `opts` without re-interpreting. The
 /// interpretation-affecting options must match what the capture ran under
-/// — sampling, race-checker arming, the shared-memory detector, resource
-/// overrides — otherwise replay is rejected with a typed
-/// [`ExecError::Replay`]: a sampled capture can never be replayed as if
-/// full, and a race-unchecked capture can never impersonate a checked run.
+/// — sampling and race-checker arming — otherwise replay is rejected with a
+/// typed [`ExecError::Replay`]: a sampled capture can never be replayed as
+/// if full, and a race-unchecked capture can never impersonate a checked
+/// run.
 /// The watchdog budget *may* differ: the capture records its total
 /// interpreted steps, so any budget's verdict is reproduced exactly
 /// (over-budget captures fault with [`FaultKind::Watchdog`], as a direct
@@ -406,25 +381,11 @@ pub fn replay_launch(
             requested: opts.max_blocks,
         }));
     }
-    let requested_mode = captured_race_mode(opts.check_races);
-    if requested_mode != cap.race_mode {
+    if opts.check_races != cap.race_mode {
         return Err(ExecError::Replay(ReplayError::RaceConfigMismatch {
-            captured: race_mode_tag(cap.race_mode),
-            requested: race_mode_tag(requested_mode),
+            captured: cap.race_mode.tag(),
+            requested: opts.check_races.tag(),
         }));
-    }
-    if opts.detect_races != cap.detect_races {
-        return Err(ExecError::Replay(ReplayError::RaceConfigMismatch {
-            captured: if cap.detect_races { "shared-detector" } else { "off" },
-            requested: if opts.detect_races { "shared-detector" } else { "off" },
-        }));
-    }
-    if let Some(r) = opts.resources_override {
-        if r != cap.resources {
-            return Err(ExecError::Replay(ReplayError::NeedsInterpretation {
-                what: "a different resources override",
-            }));
-        }
     }
     if let Some(limit) = opts.watchdog_steps {
         if cap.total_steps > limit {
@@ -453,22 +414,6 @@ fn replay_report(dev: &DeviceConfig, cap: &CapturedLaunch) -> Result<KernelRepor
     })
 }
 
-fn captured_race_mode(m: RaceCheckMode) -> CapturedRaceMode {
-    match m {
-        RaceCheckMode::Off => CapturedRaceMode::Off,
-        RaceCheckMode::Record => CapturedRaceMode::Record,
-        RaceCheckMode::Fatal => CapturedRaceMode::Fatal,
-    }
-}
-
-fn race_mode_tag(m: CapturedRaceMode) -> &'static str {
-    match m {
-        CapturedRaceMode::Off => "off",
-        CapturedRaceMode::Record => "record",
-        CapturedRaceMode::Fatal => "fatal",
-    }
-}
-
 /// Shared front half of [`launch`] and [`capture_launch`]: bind, intern,
 /// interpret (parallel when possible), unbind — everything up to but not
 /// including the timing engine. Counts one interpretation on the probe.
@@ -479,9 +424,7 @@ fn interpret_launch(
     args: &mut Args,
     opts: &SimOptions,
 ) -> Result<(InterpRun, KernelResources, Occupancy), ExecError> {
-    let resources = opts
-        .resources_override
-        .unwrap_or_else(|| estimate_resources(kernel, dev.max_registers_per_thread));
+    let resources = estimate_resources(kernel, dev.max_registers_per_thread);
     let occ = occupancy(dev, &resources).map_err(|e| ExecError::Launch(e.to_string()))?;
 
     let mut globals = GlobalState::bind(kernel, args)?;
@@ -607,7 +550,6 @@ fn interpret_sequential(env: &RunEnv, globals: &mut GlobalState) -> InterpRun {
             env.grid,
             bx * env.warps_per_block,
             env.local_per_thread,
-            opts.detect_races,
         ) {
             Ok(trace) => {
                 profile.record_block(&trace);
@@ -669,7 +611,6 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
                         env.grid,
                         bx * env.warps_per_block,
                         env.local_per_thread,
-                        opts.detect_races,
                     );
                     let log = ctx.finish_logged();
                     let outcome = match r {
@@ -1091,12 +1032,14 @@ mod tests {
 }
 
 #[cfg(test)]
-mod race_tests {
+mod hb_race_tests {
     use super::*;
+    use crate::fault::FaultKind;
+    use np_gpu_sim::racecheck::{GatingPolicy, RaceFinding};
     use np_kernel_ir::expr::dsl::*;
-    use np_kernel_ir::{KernelBuilder, Scalar};
+    use np_kernel_ir::{Dim3 as KDim3, KernelBuilder, Scalar};
 
-    /// tile[t] then read tile[63 - t]: warps conflict without a barrier.
+    /// tile[t] then read tile[63 - t]: threads conflict without a barrier.
     fn racy_kernel(with_sync: bool) -> Kernel {
         let mut b = KernelBuilder::new("racy", 64);
         b.param_global_f32("out");
@@ -1109,68 +1052,6 @@ mod race_tests {
         b.store("out", v("t"), load("tile", i(63) - v("t")));
         b.finish()
     }
-
-    #[test]
-    fn detector_catches_missing_barrier() {
-        use crate::fault::FaultKind;
-        let dev = DeviceConfig::small_test();
-        let k = racy_kernel(false);
-        let mut args = Args::new().buf_f32("out", vec![0.0; 64]);
-        let err = launch(&dev, &k, np_kernel_ir::Dim3::x1(1), &mut args, &SimOptions::checked())
-            .unwrap_err();
-        let ExecError::Fault(fault) = err else { panic!("expected a fault, got {err:?}") };
-        assert_eq!(fault.kernel, "racy");
-        match fault.kind {
-            FaultKind::SharedRace { ref array, prev_warp, warp, .. } => {
-                assert_eq!(array, "tile");
-                assert_ne!(prev_warp, warp, "race must be cross-warp");
-                assert_eq!(fault.warp, Some(warp));
-            }
-            ref other => panic!("expected SharedRace, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn barrier_silences_the_detector() {
-        let dev = DeviceConfig::small_test();
-        let k = racy_kernel(true);
-        let mut args = Args::new().buf_f32("out", vec![0.0; 64]);
-        launch(&dev, &k, np_kernel_ir::Dim3::x1(1), &mut args, &SimOptions::checked()).unwrap();
-        assert_eq!(args.get_f32("out").unwrap()[0], 63.0);
-    }
-
-    #[test]
-    fn same_warp_reuse_is_not_a_race() {
-        let dev = DeviceConfig::small_test();
-        let mut b = KernelBuilder::new("onewarp", 32);
-        b.param_global_f32("out");
-        b.shared_array("tile", Scalar::F32, 32);
-        b.store("tile", tidx(), f(1.0));
-        b.store("out", tidx(), load("tile", i(31) - tidx()));
-        let k = b.finish();
-        let mut args = Args::new().buf_f32("out", vec![0.0; 32]);
-        launch(&dev, &k, np_kernel_ir::Dim3::x1(1), &mut args, &SimOptions::checked()).unwrap();
-    }
-
-    #[test]
-    fn detector_off_by_default() {
-        let dev = DeviceConfig::small_test();
-        let k = racy_kernel(false);
-        let mut args = Args::new().buf_f32("out", vec![0.0; 64]);
-        // Racy but tolerated when the detector is off (deterministic
-        // warp-order semantics still apply).
-        launch(&dev, &k, np_kernel_ir::Dim3::x1(1), &mut args, &SimOptions::full()).unwrap();
-    }
-}
-
-#[cfg(test)]
-mod hb_race_tests {
-    use super::race_tests_helpers::racy_kernel;
-    use super::*;
-    use crate::fault::FaultKind;
-    use np_gpu_sim::racecheck::{GatingPolicy, RaceFinding};
-    use np_kernel_ir::expr::dsl::*;
-    use np_kernel_ir::{Dim3 as KDim3, KernelBuilder, Scalar};
 
     #[test]
     fn record_mode_reports_both_access_sites() {
@@ -1223,10 +1104,9 @@ mod hb_race_tests {
 
     #[test]
     fn same_warp_conflict_is_caught_at_thread_granularity() {
-        // The warp-granular fast path deliberately ignores this (see
-        // same_warp_reuse_is_not_a_race); the HB checker must not, because
-        // the CUDA-NP transform never relies on implicit warp sync for
-        // shared-memory communication.
+        // Warp-synchronous execution earns no exemption: the CUDA-NP
+        // transform never relies on implicit warp sync for shared-memory
+        // communication.
         let dev = DeviceConfig::small_test();
         let mut b = KernelBuilder::new("onewarp", 32);
         b.param_global_f32("out");
@@ -1518,25 +1398,5 @@ mod hb_race_tests {
         let err = capture_launch(&dev, &k, Dim3::x1(1), &mut args, &SimOptions::full())
             .unwrap_err();
         assert!(err.fault().is_some());
-    }
-}
-
-#[cfg(test)]
-mod race_tests_helpers {
-    use np_kernel_ir::expr::dsl::*;
-    use np_kernel_ir::{Kernel, KernelBuilder, Scalar};
-
-    /// tile[t] then read tile[63 - t]: threads conflict without a barrier.
-    pub fn racy_kernel(with_sync: bool) -> Kernel {
-        let mut b = KernelBuilder::new("racy", 64);
-        b.param_global_f32("out");
-        b.shared_array("tile", Scalar::F32, 64);
-        b.decl_i32("t", tidx());
-        b.store("tile", v("t"), cast(Scalar::F32, v("t")));
-        if with_sync {
-            b.sync();
-        }
-        b.store("out", v("t"), load("tile", i(63) - v("t")));
-        b.finish()
     }
 }

@@ -3,12 +3,15 @@
 //! — never a panic — with the warp/lane context the detection site had.
 //!
 //! Paths covered: out-of-bounds reads *and* writes in global, shared and
-//! local memory; shared-memory races; barriers under divergent control flow
-//! (within a warp and across warps); undeclared scalars; ill-typed stores;
-//! invalid `__shfl` widths; watchdog timeouts on runaway kernels; and one
-//! seeded fault-injection run per memory space.
+//! local memory; shared-memory races under the fatal race checker;
+//! barriers under divergent control flow (within a warp and across warps);
+//! undeclared scalars; ill-typed stores; invalid `__shfl` widths; watchdog
+//! timeouts on runaway kernels; and one seeded fault-injection run per
+//! memory space.
 
-use np_exec::{launch, Args, ExecError, FaultKind, KernelReport, SimFault, SimOptions};
+use np_exec::{
+    launch, Args, ExecError, FaultKind, KernelReport, RaceCheckMode, SimFault, SimOptions,
+};
 use np_gpu_sim::mem::inject::{InjectConfig, InjectSpace};
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::expr::dsl::*;
@@ -173,16 +176,23 @@ fn shared_memory_race_is_typed_and_cross_warp() {
     b.store("out", tidx(), load("tile", i(63) - tidx()));
     let k = b.finish();
     let mut args = Args::new().buf_f32("out", vec![0.0; 64]);
-    let f = fault_of(launch(&dev(), &k, Dim3::x1(1), &mut args, &SimOptions::checked()));
+    let opts = SimOptions::full().with_race_check(RaceCheckMode::Fatal);
+    let f = fault_of(launch(&dev(), &k, Dim3::x1(1), &mut args, &opts));
     assert_eq!(f.kernel, "racy");
     match f.kind {
-        FaultKind::SharedRace { ref array, prev_warp, warp, prev_write, write, .. } => {
-            assert_eq!(array, "tile");
-            assert_ne!(prev_warp, warp, "a race is cross-warp by definition");
-            assert!(prev_write || write, "at least one side must write");
-            assert_eq!(f.warp, Some(warp), "fault is attributed to the second accessor");
+        FaultKind::RaceDetected { ref detail } => {
+            // Thread 0 (warp 0) reads the word thread 63 (warp 1) wrote.
+            let race = "read-write race on shared tile[63]";
+            for needle in [race, "thread 63 write", "thread 0 read"] {
+                assert!(detail.contains(needle), "{detail:?} missing {needle:?}");
+            }
+            assert_eq!(
+                (f.warp, f.lane),
+                (Some(0), Some(0)),
+                "fault is attributed to the second accessor"
+            );
         }
-        ref other => panic!("expected SharedRace, got {other:?}"),
+        ref other => panic!("expected RaceDetected, got {other:?}"),
     }
 }
 

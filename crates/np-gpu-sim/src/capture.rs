@@ -24,7 +24,9 @@
 //! including the sampling configuration (`max_blocks`, `sim_blocks`,
 //! `total_blocks`), so a sampled capture can never silently impersonate a
 //! full one — and is verified before structural decoding, so any corrupt
-//! byte yields a typed error, never a silently wrong trace. Encoding is
+//! byte yields a typed error, never a silently wrong trace. A digest-valid
+//! artifact no kernel run could produce (warps of one block passing
+//! different numbers of barriers) is rejected as well. Encoding is
 //! canonical: `decode(encode(c)) == c` and `encode(decode(b)) == b` for
 //! every valid artifact, which is what lets golden snapshots pin captures
 //! byte-for-byte.
@@ -32,7 +34,7 @@
 use crate::occupancy::KernelResources;
 use crate::profile::ProfileCounters;
 use crate::racecheck::{
-    AccessSite, RaceFinding, RaceKind, RaceReport, RaceSpace,
+    AccessSite, RaceCheckMode, RaceFinding, RaceKind, RaceReport, RaceSpace,
 };
 use crate::trace::{BlockTrace, ShflKind, WarpOp, WarpTrace};
 
@@ -43,38 +45,6 @@ pub const TRACE_MAGIC: &[u8; 12] = b"np-trace-v1\0";
 /// function the serve cache uses for content addressing. Re-exported
 /// from the shared `np-obs` home so the stack has exactly one FNV.
 pub use np_obs::fnv::fnv64;
-
-/// How the happens-before race checker was armed when a capture was taken.
-/// Mirrors `np-exec`'s `RaceCheckMode` without depending on it (this crate
-/// sits below the interpreter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CapturedRaceMode {
-    #[default]
-    Off,
-    Record,
-    /// Fatal mode that found nothing — a fatal finding aborts the launch,
-    /// so no artifact exists for it.
-    Fatal,
-}
-
-impl CapturedRaceMode {
-    fn to_byte(self) -> u8 {
-        match self {
-            CapturedRaceMode::Off => 0,
-            CapturedRaceMode::Record => 1,
-            CapturedRaceMode::Fatal => 2,
-        }
-    }
-
-    fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(CapturedRaceMode::Off),
-            1 => Some(CapturedRaceMode::Record),
-            2 => Some(CapturedRaceMode::Fatal),
-            _ => None,
-        }
-    }
-}
 
 /// One launch's interpretation, frozen into a replayable artifact.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,10 +70,8 @@ pub struct CapturedLaunch {
     pub l1_line: u32,
     /// Resource estimate the launch ran with (drives occupancy at replay).
     pub resources: KernelResources,
-    /// Whether the warp-granular shared-memory race detector was armed.
-    pub detect_races: bool,
-    /// How the happens-before checker was armed.
-    pub race_mode: CapturedRaceMode,
+    /// How the race checker was armed.
+    pub race_mode: RaceCheckMode,
     /// Total interpreted steps across all simulated blocks — lets replay
     /// reproduce the watchdog verdict for any budget without re-running.
     pub total_steps: u64,
@@ -140,7 +108,8 @@ impl CapturedLaunch {
 
     /// Strict round-trip decode: verifies the magic and the content digest
     /// before any structural parsing, then requires every byte to be
-    /// consumed. Never panics on arbitrary input.
+    /// consumed and the warps of each block to pass the same number of
+    /// barriers. Never panics on arbitrary input.
     pub fn decode(bytes: &[u8]) -> Result<CapturedLaunch, TraceDecodeError> {
         let _obs = np_obs::span("trace.decode");
         if bytes.len() < TRACE_MAGIC.len() + 8 {
@@ -191,8 +160,13 @@ impl CapturedLaunch {
         put_u32(out, self.resources.regs_per_thread);
         put_u32(out, self.resources.shared_per_block);
         put_u32(out, self.resources.local_per_thread);
-        out.push(self.detect_races as u8);
-        out.push(self.race_mode.to_byte());
+        // Reserved, always 0; the next format version drops it.
+        out.push(0);
+        out.push(match self.race_mode {
+            RaceCheckMode::Off => 0,
+            RaceCheckMode::Record => 1,
+            RaceCheckMode::Fatal => 2,
+        });
         put_u64(out, self.total_steps);
         encode_race_report(out, &self.race);
         put_u32(out, self.blocks.len() as u32);
@@ -229,6 +203,9 @@ pub enum TraceDecodeError {
     LengthOverflow { what: &'static str, len: u64 },
     /// Bytes remain after a complete decode.
     TrailingBytes { extra: usize },
+    /// The warps of one block pass different numbers of barriers, which
+    /// no kernel run can produce and the timing engine cannot schedule.
+    DivergentBarriers { block: u64 },
 }
 
 impl std::fmt::Display for TraceDecodeError {
@@ -250,6 +227,9 @@ impl std::fmt::Display for TraceDecodeError {
             }
             TraceDecodeError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing byte(s) after a complete artifact")
+            }
+            TraceDecodeError::DivergentBarriers { block } => {
+                write!(f, "the warps of block {block} pass different numbers of barriers")
             }
         }
     }
@@ -382,22 +362,7 @@ fn encode_race_report(out: &mut Vec<u8>, r: &RaceReport) {
                 encode_site(out, first);
                 encode_site(out, second);
             }
-            RaceFinding::BarrierDivergence {
-                block,
-                thread_a,
-                count_a,
-                thread_b,
-                count_b,
-                sites_differ,
-            } => {
-                out.push(1);
-                put_u64(out, *block);
-                put_u32(out, *thread_a);
-                put_u32(out, *count_a);
-                put_u32(out, *thread_b);
-                put_u32(out, *count_b);
-                out.push(*sites_differ as u8);
-            }
+            // Finding tag 1 is unassigned.
             RaceFinding::MasterGatingViolation { block, space, array, index, thread, slave, pc } => {
                 out.push(2);
                 put_u64(out, *block);
@@ -535,14 +500,6 @@ fn decode_race_report(cur: &mut Cursor) -> Result<RaceReport, TraceDecodeError> 
                 let second = decode_site(cur)?;
                 RaceFinding::MemoryRace { space, block, array, index, kind, first, second }
             }
-            1 => RaceFinding::BarrierDivergence {
-                block: cur.u64("finding.block")?,
-                thread_a: cur.u32("finding.thread_a")?,
-                count_a: cur.u32("finding.count_a")?,
-                thread_b: cur.u32("finding.thread_b")?,
-                count_b: cur.u32("finding.count_b")?,
-                sites_differ: cur.bool("finding.sites_differ")?,
-            },
             2 => {
                 let block = cur.u64("finding.block")?;
                 let space = decode_space(cur)?;
@@ -634,24 +591,38 @@ fn decode_body(cur: &mut Cursor) -> Result<CapturedLaunch, TraceDecodeError> {
         shared_per_block: cur.u32("resources")?,
         local_per_thread: cur.u32("resources")?,
     };
-    let detect_races = cur.bool("detect_races")?;
-    let race_mode_byte = cur.u8("race mode")?;
-    let race_mode = CapturedRaceMode::from_byte(race_mode_byte)
-        .ok_or(TraceDecodeError::InvalidTag { what: "race mode", tag: race_mode_byte })?;
+    match cur.u8("reserved")? {
+        0 => {}
+        tag => return Err(TraceDecodeError::InvalidTag { what: "reserved", tag }),
+    }
+    let race_mode = match cur.u8("race mode")? {
+        0 => RaceCheckMode::Off,
+        1 => RaceCheckMode::Record,
+        2 => RaceCheckMode::Fatal,
+        tag => return Err(TraceDecodeError::InvalidTag { what: "race mode", tag }),
+    };
     let total_steps = cur.u64("total steps")?;
     let race = decode_race_report(cur)?;
     let n_blocks = cur.count("blocks", 4)?;
     let mut blocks = Vec::with_capacity(n_blocks);
-    for _ in 0..n_blocks {
+    for block in 0..n_blocks as u64 {
         // Counters alone are 160 bytes per warp.
         let n_warps = cur.count("warps", 160)?;
         let mut warps = Vec::with_capacity(n_warps);
+        let mut block_bars = None;
         for _ in 0..n_warps {
             let counters = decode_counters(cur)?;
             let n_ops = cur.count("ops", 1)?;
             let mut ops = Vec::with_capacity(n_ops);
+            let mut bars = 0usize;
             for _ in 0..n_ops {
-                ops.push(decode_op(cur)?);
+                let op = decode_op(cur)?;
+                bars += matches!(op, WarpOp::Bar) as usize;
+                ops.push(op);
+            }
+            // Every warp of a block passes every barrier.
+            if *block_bars.get_or_insert(bars) != bars {
+                return Err(TraceDecodeError::DivergentBarriers { block });
             }
             warps.push(WarpTrace { ops, counters });
         }
@@ -667,7 +638,6 @@ fn decode_body(cur: &mut Cursor) -> Result<CapturedLaunch, TraceDecodeError> {
         txn_bytes,
         l1_line,
         resources,
-        detect_races,
         race_mode,
         total_steps,
         race,
@@ -711,8 +681,7 @@ mod tests {
                 shared_per_block: 0,
                 local_per_thread: 0,
             },
-            detect_races: false,
-            race_mode: CapturedRaceMode::Off,
+            race_mode: RaceCheckMode::Off,
             total_steps: 42,
             race: RaceReport::default(),
             blocks,
@@ -775,14 +744,6 @@ mod tests {
                     kind: RaceKind::ReadWrite,
                     first: AccessSite { thread: 3, pc: 10, epoch: 0, write: false },
                     second: AccessSite { thread: 35, pc: 20, epoch: 0, write: true },
-                },
-                RaceFinding::BarrierDivergence {
-                    block: 0,
-                    thread_a: 0,
-                    count_a: 2,
-                    thread_b: 9,
-                    count_b: 1,
-                    sites_differ: false,
                 },
                 RaceFinding::MasterGatingViolation {
                     block: 2,

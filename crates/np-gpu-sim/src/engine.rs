@@ -27,28 +27,6 @@ use crate::trace::{BlockTrace, WarpOp, WarpTrace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Pull-source of block traces, so callers can generate them lazily and the
-/// resident set is all that ever lives in memory.
-pub trait BlockSource {
-    /// Produce the next block trace, or `None` when the grid is exhausted.
-    fn next_block(&mut self) -> Option<BlockTrace>;
-}
-
-impl<F: FnMut() -> Option<BlockTrace>> BlockSource for F {
-    fn next_block(&mut self) -> Option<BlockTrace> {
-        self()
-    }
-}
-
-/// An iterator adapter usable as a [`BlockSource`].
-pub struct IterSource<I>(pub I);
-
-impl<I: Iterator<Item = BlockTrace>> BlockSource for IterSource<I> {
-    fn next_block(&mut self) -> Option<BlockTrace> {
-        self.0.next()
-    }
-}
-
 #[derive(Debug)]
 struct WarpRt {
     trace: WarpTrace,
@@ -82,9 +60,8 @@ struct Smx {
     resident_blocks: u32,
 }
 
-/// The engine itself; create with [`Engine::new`], drive with
-/// [`Engine::run`].
-pub struct Engine<'d> {
+/// The engine state of one [`simulate_blocks`] call.
+struct Engine<'d> {
     dev: &'d DeviceConfig,
     tick_per_issue: u64,
     txn_ticks: u64,
@@ -103,9 +80,7 @@ pub struct Engine<'d> {
 }
 
 impl<'d> Engine<'d> {
-    /// Build an engine for `dev`; `occ` bounds the resident blocks per SMX.
-    pub fn new(dev: &'d DeviceConfig, occ: &Occupancy) -> Self {
-        let _ = occ;
+    fn new(dev: &'d DeviceConfig) -> Self {
         let smxs = (0..dev.num_smx)
             .map(|_| Smx {
                 issue_free: 0,
@@ -236,8 +211,10 @@ impl<'d> Engine<'d> {
     ) {
         debug_assert!(self.smxs[smx].resident_blocks < blocks_per_smx);
         // The CUDA contract: every warp of a block must execute the same
-        // number of barriers, otherwise behaviour is undefined. We assert it
-        // so bugs in transformed kernels surface loudly.
+        // number of barriers, otherwise behaviour is undefined. Both trace
+        // producers guarantee it: the interpreter faults on a divergent
+        // barrier and the trace decoder rejects a block whose warps
+        // disagree.
         let bar_counts: Vec<usize> = trace
             .warps
             .iter()
@@ -326,22 +303,22 @@ impl<'d> Engine<'d> {
         self.smxs[smx].resident_blocks -= 1;
     }
 
-    /// Run the simulation to completion, pulling blocks from `source` as
-    /// SMX slots free up. `blocks_total` is the logical grid size; if the
-    /// source yields fewer blocks the result is scaled up linearly (wave
-    /// sampling).
-    pub fn run(
+    /// Run the simulation to completion, installing blocks in order as
+    /// SMX slots free up. `blocks_total` is the logical grid size; if fewer
+    /// blocks are given the result is scaled up linearly (wave sampling).
+    fn run(
         mut self,
         occ: &Occupancy,
-        source: &mut dyn BlockSource,
+        blocks: Vec<BlockTrace>,
         blocks_total: u64,
     ) -> TimingReport {
+        let mut source = blocks.into_iter();
         let launch = Self::tk(self.dev.block_launch_cost as u64);
         // Initial fill, round-robin across SMXs like the hardware work
         // distributor.
         'fill: for _round in 0..occ.blocks_per_smx {
             for smx in 0..self.smxs.len() {
-                match source.next_block() {
+                match source.next() {
                     Some(bt) => self.install_block(smx, bt, launch, occ.blocks_per_smx),
                     None => break 'fill,
                 }
@@ -371,7 +348,7 @@ impl<'d> Engine<'d> {
                     let completion = b.finish_max;
                     let smx = b.smx;
                     self.retire_block(block_slot, completion);
-                    if let Some(bt) = source.next_block() {
+                    if let Some(bt) = source.next() {
                         self.install_block(smx, bt, completion + launch, occ.blocks_per_smx);
                     }
                 }
@@ -641,16 +618,15 @@ impl<'d> Engine<'d> {
     }
 }
 
-/// Convenience wrapper: simulate a fully materialized list of block traces.
+/// Time a launch's block traces, in block order, on `dev`; `occ` bounds
+/// the resident blocks per SMX. The engine's one entry point.
 pub fn simulate_blocks(
     dev: &DeviceConfig,
     occ: &Occupancy,
     blocks: Vec<BlockTrace>,
     blocks_total: u64,
 ) -> TimingReport {
-    let engine = Engine::new(dev, occ);
-    let mut src = IterSource(blocks.into_iter());
-    engine.run(occ, &mut src, blocks_total)
+    Engine::new(dev).run(occ, blocks, blocks_total)
 }
 
 #[cfg(test)]

@@ -38,15 +38,15 @@ pub mod stats;
 pub mod timeline;
 pub mod trace;
 
-pub use capture::{CapturedLaunch, CapturedRaceMode, TraceDecodeError, TRACE_MAGIC};
+pub use capture::{CapturedLaunch, TraceDecodeError, TRACE_MAGIC};
 pub use config::{DeviceConfig, DynParConfig, TICKS_PER_CYCLE, WARP_SIZE};
 pub use device::{DeviceError, DEVICE_SCHEMA, REGISTRY};
-pub use engine::{simulate_blocks, BlockSource, Engine, IterSource};
+pub use engine::simulate_blocks;
 pub use occupancy::{occupancy, KernelResources, Limiter, Occupancy, OccupancyError};
 pub use profile::{BlockProfile, ProfileCounters, ProfileReport};
 pub use racecheck::{
-    AccessSite, GatingPolicy, RaceCheckOptions, RaceFinding, RaceKind, RaceRecorder, RaceReport,
-    RaceSpace,
+    AccessSite, GatingPolicy, RaceCheckMode, RaceCheckOptions, RaceFinding, RaceKind, RaceRecorder,
+    RaceReport, RaceSpace,
 };
 pub use replay::{replay, ReplayedLaunch, ReplayError};
 pub use stats::TimingReport;

@@ -1,26 +1,30 @@
 //! Deterministic happens-before race checking over per-access memory
 //! events.
 //!
-//! The checker consumes the interpreter's access stream (shared and global
+//! This is the stack's only race checker: [`RaceCheckMode::Record`]
+//! collects findings into a report, [`RaceCheckMode::Fatal`] is the
+//! fail-fast sanitizer that aborts a launch at its first finding. The
+//! checker consumes the interpreter's access stream (shared and global
 //! spaces) plus barrier events and reports typed findings:
 //!
 //! * **write/write and read/write races** — two different threads of one
 //!   block touching the same word with at least one write, not ordered by
 //!   an intervening `__syncthreads()`;
-//! * **barrier divergence** — threads of one block reaching different
-//!   barrier sites or different barrier counts (only reachable through the
-//!   per-thread event API: the lockstep interpreter faults on divergent
-//!   barriers before the recorder could see them);
 //! * **master/slave gating violations** — slave threads writing state the
 //!   CUDA-NP transform reserves for the master (broadcast staging buffers).
 //!
+//! Divergent barriers never reach the checker: the lockstep interpreter
+//! faults on them first, and the trace decoder rejects a capture whose
+//! warps disagree on their barrier count.
+//!
 //! The happens-before model is a per-block *barrier-epoch* order: within a
 //! block the only inter-thread synchronization the kernel IR can express is
-//! `__syncthreads()`, so a full vector clock degenerates to one epoch
-//! counter per thread (incremented at each barrier). Two accesses by
-//! different threads conflict exactly when their epochs are equal; an
-//! access in an older epoch is ordered before everything after that
-//! barrier. Warp-synchronous execution earns **no** exemption: the CUDA-NP
+//! `__syncthreads()`, and the interpreter passes every barrier in block
+//! lockstep, so a full vector clock degenerates to one epoch counter per
+//! block (incremented at each barrier). Two accesses by different threads
+//! conflict exactly when their epochs are equal; an access in an older
+//! epoch is ordered before everything after that barrier.
+//! Warp-synchronous execution earns **no** exemption: the CUDA-NP
 //! transform's shared-memory communication patterns are all
 //! barrier-separated (its `__shfl` paths touch no memory), so treating
 //! same-warp threads as unordered costs no false positives and still
@@ -37,7 +41,32 @@
 //! Cost: per-word state lives in a dense shadow indexed by word, one block
 //! at a time, so a checked access is a few array lookups and no hashing.
 
-use std::collections::BTreeMap;
+/// How the race checker runs for one launch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RaceCheckMode {
+    /// Not armed; the launch's race report comes back with
+    /// `checked == false`.
+    #[default]
+    Off,
+    /// Record every finding into the launch's race report; the launch
+    /// itself still succeeds.
+    Record,
+    /// The first finding aborts the launch with a race-detected fault. A
+    /// capture taken in this mode found nothing: a fatal finding leaves no
+    /// artifact.
+    Fatal,
+}
+
+impl RaceCheckMode {
+    /// Short stable tag for diagnostics.
+    pub fn tag(self) -> &'static str {
+        match self {
+            RaceCheckMode::Off => "off",
+            RaceCheckMode::Record => "record",
+            RaceCheckMode::Fatal => "fatal",
+        }
+    }
+}
 
 /// Memory space of a checked access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,7 +93,7 @@ pub struct AccessSite {
     /// Monotone interpreter step counter at the access — a deterministic
     /// stand-in for a program counter, unique per dynamic statement.
     pub pc: u64,
-    /// The thread's barrier epoch at the access.
+    /// The block's barrier epoch at the access.
     pub epoch: u32,
     pub write: bool,
 }
@@ -113,19 +142,6 @@ pub enum RaceFinding {
         first: AccessSite,
         second: AccessSite,
     },
-    /// Threads of one block executed different barrier counts or different
-    /// barrier site sequences.
-    BarrierDivergence {
-        block: u64,
-        /// A thread holding the majority/first observed barrier history.
-        thread_a: u32,
-        count_a: u32,
-        /// The first thread whose history disagrees.
-        thread_b: u32,
-        count_b: u32,
-        /// True when the counts match but the site sequences differ.
-        sites_differ: bool,
-    },
     /// A slave thread wrote master-only state.
     MasterGatingViolation {
         block: u64,
@@ -145,7 +161,6 @@ impl RaceFinding {
         match self {
             RaceFinding::MemoryRace { kind: RaceKind::WriteWrite, .. } => "ww-race",
             RaceFinding::MemoryRace { kind: RaceKind::ReadWrite, .. } => "rw-race",
-            RaceFinding::BarrierDivergence { .. } => "barrier-divergence",
             RaceFinding::MasterGatingViolation { .. } => "gating-violation",
         }
     }
@@ -158,7 +173,6 @@ impl RaceFinding {
                 second.pc += base;
             }
             RaceFinding::MasterGatingViolation { pc, .. } => *pc += base,
-            RaceFinding::BarrierDivergence { .. } => {}
         }
         self
     }
@@ -176,28 +190,6 @@ impl std::fmt::Display for RaceFinding {
                     first.describe(),
                     second.describe()
                 )
-            }
-            RaceFinding::BarrierDivergence {
-                block,
-                thread_a,
-                count_a,
-                thread_b,
-                count_b,
-                sites_differ,
-            } => {
-                if *sites_differ {
-                    write!(
-                        f,
-                        "barrier divergence in block {block}: thread {thread_a} and thread \
-                         {thread_b} passed {count_a} barrier(s) at different sites"
-                    )
-                } else {
-                    write!(
-                        f,
-                        "barrier divergence in block {block}: thread {thread_a} passed \
-                         {count_a} barrier(s), thread {thread_b} passed {count_b}"
-                    )
-                }
             }
             RaceFinding::MasterGatingViolation { block, space, array, index, thread, slave, pc } => {
                 write!(
@@ -323,21 +315,6 @@ impl RaceReport {
                         site(second)
                     );
                 }
-                RaceFinding::BarrierDivergence {
-                    block,
-                    thread_a,
-                    count_a,
-                    thread_b,
-                    count_b,
-                    sites_differ,
-                } => {
-                    let _ = write!(
-                        s,
-                        "\"block\":{block},\"thread_a\":{thread_a},\"count_a\":{count_a},\
-                         \"thread_b\":{thread_b},\"count_b\":{count_b},\
-                         \"sites_differ\":{sites_differ}"
-                    );
-                }
                 RaceFinding::MasterGatingViolation { block, space, array, index, thread, slave, pc } => {
                     let _ = write!(
                         s,
@@ -410,7 +387,7 @@ const REPORTED: u8 = 4;
 /// Per-word state: the last write plus the latest read of each reading
 /// thread, in the order the threads first read the word since that write
 /// (the FastTrack read-shared representation; exact at epoch granularity
-/// because per-thread epochs are monotone). The first reader is stored
+/// because the block's epoch is monotone). The first reader is stored
 /// inline, so a word read by one thread allocates nothing; later readers
 /// go to a [`MoreReads`].
 struct WordState {
@@ -485,12 +462,6 @@ impl MoreReads {
 /// the directory costs 4 bytes per 256 words.
 const PAGE_BITS: u32 = 8;
 const PAGE: usize = 1 << PAGE_BITS;
-/// Pages numbered below this sit in a dense directory: 2^32 words per
-/// array, past any buffer the interpreter binds (it bounds-checks every
-/// index against the array length before recording the access). Farther
-/// pages, reachable only through the public API, go through an ordered
-/// map.
-const DENSE_PAGES: u64 = 1 << (32 - PAGE_BITS);
 
 /// The per-word state of one block, indexed by word: a page directory per
 /// (array, space), pages of word handles, and the word states in
@@ -499,7 +470,6 @@ const DENSE_PAGES: u64 = 1 << (32 - PAGE_BITS);
 struct Shadow {
     /// Per `array_id * 2 + space`: page number -> page + 1 (0: untouched).
     dirs: Vec<Vec<u32>>,
-    far: BTreeMap<(usize, u64), u32>,
     /// `PAGE` handles per page: index in `words` + 1 (0: untouched).
     pages: Vec<u32>,
     words: Vec<WordState>,
@@ -509,21 +479,16 @@ struct Shadow {
 impl Shadow {
     /// The `words` index of `index` in array slot `arr`, created on first
     /// touch.
-    fn word(&mut self, arr: usize, index: u64) -> usize {
-        let page_no = index >> PAGE_BITS;
-        let page = if page_no < DENSE_PAGES {
-            if self.dirs.len() <= arr {
-                self.dirs.resize_with(arr + 1, Vec::new);
-            }
-            let dir = &mut self.dirs[arr];
-            let p = page_no as usize;
-            if dir.len() <= p {
-                dir.resize(p + 1, 0);
-            }
-            &mut dir[p]
-        } else {
-            self.far.entry((arr, page_no)).or_insert(0)
-        };
+    fn word(&mut self, arr: usize, index: u32) -> usize {
+        if self.dirs.len() <= arr {
+            self.dirs.resize_with(arr + 1, Vec::new);
+        }
+        let dir = &mut self.dirs[arr];
+        let p = (index >> PAGE_BITS) as usize;
+        if dir.len() <= p {
+            dir.resize(p + 1, 0);
+        }
+        let page = &mut dir[p];
         if *page == 0 {
             self.pages.resize(self.pages.len() + PAGE, 0);
             *page = (self.pages.len() / PAGE) as u32;
@@ -542,25 +507,15 @@ impl Shadow {
 /// scope, so one block's state is all a recorder ever holds.
 struct BlockState {
     block: u64,
-    epochs: Vec<u32>,
-    /// FNV-1a over the sequence of barrier pcs each thread passed, to
-    /// detect same-count-different-sites divergence.
-    site_hash: Vec<u64>,
+    n_threads: usize,
+    /// Barriers the block has passed.
+    epoch: u32,
     shadow: Shadow,
     gating_reported: Vec<u32>,
 }
 
-fn fnv1a(h: u64, x: u64) -> u64 {
-    let mut h = h;
-    for b in x.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// The event consumer. Feed it `begin_block` / `record_access` / `barrier`
-/// (or `barrier_all`) / `end_block` in execution order, then `finish`.
+/// The event consumer. Feed it `begin_block` / `record_access` /
+/// `barrier_all` / `end_block` in execution order, then `finish`.
 pub struct RaceRecorder {
     opts: RaceCheckOptions,
     report: RaceReport,
@@ -607,12 +562,12 @@ impl RaceRecorder {
 
     /// Start tracking a new block of `n_threads` block-linear threads.
     pub fn begin_block(&mut self, block: u64, n_threads: u32) {
-        // An unterminated previous block still gets its divergence check.
-        self.close_block();
+        // An unterminated previous block still counts as checked.
+        self.end_block();
         self.cur = Some(BlockState {
             block,
-            epochs: vec![0; n_threads as usize],
-            site_hash: vec![0xcbf29ce484222325; n_threads as usize],
+            n_threads: n_threads as usize,
+            epoch: 0,
             shadow: Shadow::default(),
             gating_reported: Vec::new(),
         });
@@ -624,7 +579,7 @@ impl RaceRecorder {
         &mut self,
         space: RaceSpace,
         array: &str,
-        index: u64,
+        index: u32,
         thread: u32,
         write: bool,
         pc: u64,
@@ -639,14 +594,14 @@ impl RaceRecorder {
         &mut self,
         space: RaceSpace,
         array_id: u32,
-        index: u64,
+        index: u32,
         thread: u32,
         write: bool,
         pc: u64,
     ) -> Option<&RaceFinding> {
         let Some(cur) = &mut self.cur else { return None };
         self.report.accesses_checked += 1;
-        let epoch = cur.epochs.get(thread as usize).copied().unwrap_or(0);
+        let epoch = cur.epoch;
         let site = Site { thread, epoch, pc };
         let block = cur.block;
 
@@ -662,7 +617,7 @@ impl RaceRecorder {
             }
         }
 
-        let n_threads = cur.epochs.len();
+        let n_threads = cur.n_threads;
         let sh = &mut cur.shadow;
         let h = sh.word(array_id as usize * 2 + space as usize, index);
         let Shadow { words, more, .. } = sh;
@@ -715,7 +670,7 @@ impl RaceRecorder {
                 block,
                 space,
                 array: self.array_names[array_id as usize].clone(),
-                index,
+                index: index.into(),
                 thread,
                 slave,
                 pc,
@@ -726,71 +681,31 @@ impl RaceRecorder {
             space,
             block,
             array: self.array_names[array_id as usize].clone(),
-            index,
+            index: index.into(),
             kind,
             first,
             second: site.public(write),
         })
     }
 
-    /// One thread passed a barrier at site `pc`.
-    pub fn barrier(&mut self, thread: u32, pc: u64) {
+    /// Every thread of the block passed one barrier (the lockstep
+    /// interpreter passes every barrier block-wide).
+    pub fn barrier_all(&mut self) {
         let Some(cur) = &mut self.cur else { return };
-        if let Some(e) = cur.epochs.get_mut(thread as usize) {
-            *e += 1;
-        }
-        if let Some(h) = cur.site_hash.get_mut(thread as usize) {
-            *h = fnv1a(*h, pc);
-        }
+        cur.epoch += 1;
         self.report.barriers_seen += 1;
     }
 
-    /// Every thread of the block passed one barrier at site `pc` (the
-    /// lockstep interpreter's barrier shape).
-    pub fn barrier_all(&mut self, pc: u64) {
-        let Some(cur) = &mut self.cur else { return };
-        for e in &mut cur.epochs {
-            *e += 1;
-        }
-        for h in &mut cur.site_hash {
-            *h = fnv1a(*h, pc);
-        }
-        self.report.barriers_seen += 1;
-    }
-
-    /// Finish the current block: run the barrier-divergence check and drop
-    /// the per-word state.
+    /// Finish the current block and drop its per-word state.
     pub fn end_block(&mut self) {
-        self.close_block();
-    }
-
-    fn close_block(&mut self) {
-        let Some(cur) = self.cur.take() else { return };
-        self.report.blocks_checked += 1;
-        if cur.epochs.is_empty() {
-            return;
-        }
-        let (c0, h0) = (cur.epochs[0], cur.site_hash[0]);
-        let divergent = cur
-            .epochs
-            .iter()
-            .zip(&cur.site_hash)
-            .position(|(&c, &h)| c != c0 || h != h0);
-        if let Some(t) = divergent {
-            self.file(RaceFinding::BarrierDivergence {
-                block: cur.block,
-                thread_a: 0,
-                count_a: c0,
-                thread_b: t as u32,
-                count_b: cur.epochs[t],
-                sites_differ: cur.epochs[t] == c0,
-            });
+        if self.cur.take().is_some() {
+            self.report.blocks_checked += 1;
         }
     }
 
     /// Close any open block and return the launch report.
     pub fn finish(mut self) -> RaceReport {
-        self.close_block();
+        self.end_block();
         self.report
     }
 }
@@ -828,7 +743,7 @@ mod tests {
         let mut r = rec();
         r.begin_block(0, 4);
         r.record_access(RaceSpace::Shared, "tile", 5, 0, true, 10);
-        r.barrier_all(11);
+        r.barrier_all();
         assert!(r.record_access(RaceSpace::Shared, "tile", 5, 1, true, 12).is_none());
         let rep = r.finish();
         assert!(rep.is_clean());
@@ -932,25 +847,15 @@ mod tests {
     }
 
     #[test]
-    fn far_indices_are_tracked_like_near_ones() {
-        let mut r = rec();
-        r.begin_block(0, 2);
-        r.record_access(RaceSpace::Global, "a", 1 << 40, 0, true, 1);
-        assert!(r.record_access(RaceSpace::Global, "a", (1 << 40) + 1, 1, true, 2).is_none());
-        assert!(r.record_access(RaceSpace::Global, "a", 0, 1, true, 3).is_none());
-        assert!(r.record_access(RaceSpace::Global, "a", 1 << 40, 1, true, 4).is_some());
-        assert_eq!(r.finish().findings.len(), 1);
-    }
-
-    #[test]
     fn appended_block_reports_match_one_recorder() {
         // Each block files two write-write races; the cap of 3 runs out in
         // the second block.
         let check_block = |r: &mut RaceRecorder, block: u64, pc0: u64| {
             r.begin_block(block, 2);
-            for word in 0..2 {
-                r.record_access(RaceSpace::Shared, "a", word, 0, true, pc0 + 2 * word);
-                r.record_access(RaceSpace::Shared, "a", word, 1, true, pc0 + 2 * word + 1);
+            for word in 0..2u32 {
+                let pc = pc0 + 2 * u64::from(word);
+                r.record_access(RaceSpace::Shared, "a", word, 0, true, pc);
+                r.record_access(RaceSpace::Shared, "a", word, 1, true, pc + 1);
             }
             r.end_block();
         };
@@ -985,47 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_count_divergence_is_flagged() {
-        let mut r = rec();
-        r.begin_block(0, 4);
-        r.barrier(0, 10);
-        r.barrier(1, 10);
-        // threads 2 and 3 never reach the barrier
-        let rep = r.finish();
-        assert_eq!(rep.findings.len(), 1);
-        match &rep.findings[0] {
-            RaceFinding::BarrierDivergence { count_a, count_b, sites_differ, .. } => {
-                assert_eq!((*count_a, *count_b), (1, 0));
-                assert!(!sites_differ);
-            }
-            other => panic!("expected BarrierDivergence, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn barrier_site_divergence_is_flagged() {
-        let mut r = rec();
-        r.begin_block(0, 2);
-        r.barrier(0, 10);
-        r.barrier(1, 20); // same count, different site
-        let rep = r.finish();
-        assert_eq!(rep.findings.len(), 1);
-        match &rep.findings[0] {
-            RaceFinding::BarrierDivergence { sites_differ, .. } => assert!(sites_differ),
-            other => panic!("expected BarrierDivergence, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn lockstep_barriers_never_diverge() {
-        let mut r = rec();
-        r.begin_block(0, 64);
-        r.barrier_all(10);
-        r.barrier_all(20);
-        assert!(r.finish().is_clean());
-    }
-
-    #[test]
     fn gating_policy_flags_slave_writes() {
         let policy = GatingPolicy {
             master_size: 32,
@@ -1047,10 +911,10 @@ mod tests {
         assert!(r
             .record_access(RaceSpace::Shared, "__np_bcast_x", 0, 5, true, 1)
             .is_none());
-        r.barrier_all(2);
+        r.barrier_all();
         // Slave write: violation (and only one per array despite repeats).
         r.record_access(RaceSpace::Shared, "__np_bcast_x", 1, 40, true, 3);
-        r.barrier_all(4);
+        r.barrier_all();
         r.record_access(RaceSpace::Shared, "__np_bcast_x", 2, 70, true, 5);
         // Slave read: fine.
         r.record_access(RaceSpace::Shared, "__np_bcast_x", 0, 40, false, 6);
@@ -1092,7 +956,7 @@ mod tests {
             r.begin_block(0, 4);
             r.record_access(RaceSpace::Shared, "tile", 5, 0, true, 10);
             r.record_access(RaceSpace::Shared, "tile", 5, 1, false, 11);
-            r.barrier_all(12);
+            r.barrier_all();
             r.record_access(RaceSpace::Global, "out", 0, 0, true, 13);
             r.finish().to_json()
         };
@@ -1110,7 +974,7 @@ mod tests {
         let mut r = rec();
         r.begin_block(0, 2);
         r.record_access(RaceSpace::Shared, "a", 0, 0, true, 1);
-        r.barrier_all(2);
+        r.barrier_all();
         r.record_access(RaceSpace::Shared, "a", 0, 1, false, 3);
         let rep = r.finish();
         assert!(rep.checked && rep.is_clean());

@@ -3,10 +3,10 @@
 //! Interpretation is the expensive half of a simulation (the 161 s
 //! paper-scale sweep spends most of its wall clock there); timing a
 //! materialized trace through the engine is cheap. Replay feeds a capture's
-//! block traces straight into [`crate::engine::Engine`] and rebuilds the
-//! profile report from the traces' counters, reproducing the exact
-//! [`TimingReport`] and [`ProfileReport`] a direct simulation under the
-//! same device configuration would have produced.
+//! block traces straight into [`crate::engine::simulate_blocks`] and
+//! rebuilds the profile report from the traces' counters, reproducing the
+//! exact [`TimingReport`] and [`ProfileReport`] a direct simulation under
+//! the same device configuration would have produced.
 //!
 //! Replay *validates* rather than trusts: the trace's memory-cost
 //! summaries were computed with the capturing device's transaction and L1
@@ -119,9 +119,8 @@ pub fn replay(dev: &DeviceConfig, cap: &CapturedLaunch) -> Result<ReplayedLaunch
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::CapturedRaceMode;
     use crate::occupancy::KernelResources;
-    use crate::racecheck::RaceReport;
+    use crate::racecheck::{RaceCheckMode, RaceReport};
     use crate::trace::{BlockTrace, TraceBuilder, WarpOp};
 
     fn capture_of(blocks: Vec<BlockTrace>, total: u64) -> CapturedLaunch {
@@ -140,8 +139,7 @@ mod tests {
                 shared_per_block: 0,
                 local_per_thread: 0,
             },
-            detect_races: false,
-            race_mode: CapturedRaceMode::Off,
+            race_mode: RaceCheckMode::Off,
             total_steps: 10,
             race: RaceReport::default(),
             blocks,

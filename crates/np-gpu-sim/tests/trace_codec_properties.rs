@@ -1,17 +1,18 @@
 //! Property tests for the `np-trace-v1` codec: round-tripping is the
 //! identity on arbitrary captures, the content digest is sensitive to
 //! every field (a flipped field can never impersonate the original), and
-//! decoding adversarial bytes — corrupted, truncated, or pure garbage —
-//! always yields a *typed* error and never panics or returns a silently
-//! wrong trace.
+//! decoding adversarial bytes — corrupted, truncated, pure garbage, or
+//! digest-valid but impossible (divergent barrier counts, a nonzero
+//! reserved byte) — always yields a *typed* error and never panics or
+//! returns a silently wrong trace.
 
 use np_gpu_sim::capture::fnv64;
 use np_gpu_sim::racecheck::{
-    AccessSite, RaceFinding, RaceKind, RaceReport, RaceSpace,
+    AccessSite, RaceCheckMode, RaceFinding, RaceKind, RaceReport, RaceSpace,
 };
 use np_gpu_sim::{
-    BlockTrace, CapturedLaunch, CapturedRaceMode, KernelResources, ProfileCounters, ShflKind,
-    TraceDecodeError, WarpOp, WarpTrace, TRACE_MAGIC,
+    BlockTrace, CapturedLaunch, KernelResources, ProfileCounters, ShflKind, TraceDecodeError,
+    WarpOp, WarpTrace, TRACE_MAGIC,
 };
 use proptest::prelude::*;
 
@@ -19,7 +20,9 @@ use proptest::prelude::*;
 /// The op stream, counters, and race findings are all derived from
 /// `seed` via a splitmix64 walk, so one u64 of entropy yields structural
 /// variety (every op tag, every finding kind) without a bespoke
-/// strategy per field.
+/// strategy per field. The warps of a block pass the same number of
+/// barriers, at random points of their op streams, as every kernel run's
+/// do.
 fn make_cap(seed: u64, n_blocks: usize, n_warps: usize, n_ops: usize, sampled: bool) -> CapturedLaunch {
     let mut state = seed;
     let mut next = move || {
@@ -32,11 +35,12 @@ fn make_cap(seed: u64, n_blocks: usize, n_warps: usize, n_ops: usize, sampled: b
 
     let mut blocks = Vec::with_capacity(n_blocks);
     for _ in 0..n_blocks {
+        let bars = next() % 3;
         let mut warps = Vec::with_capacity(n_warps);
         for _ in 0..n_warps {
-            let mut ops = Vec::with_capacity(n_ops);
+            let mut ops = Vec::with_capacity(n_ops + bars as usize);
             for _ in 0..n_ops {
-                ops.push(match next() % 12 {
+                ops.push(match next() % 11 {
                     0 => WarpOp::Alu { count: (next() % 64) as u16 + 1 },
                     1 => WarpOp::Sfu { count: (next() % 8) as u16 + 1 },
                     2 => WarpOp::GlobalLoad {
@@ -50,7 +54,7 @@ fn make_cap(seed: u64, n_blocks: usize, n_warps: usize, n_ops: usize, sampled: b
                     7 => WarpOp::LocalStore { lines: vec![next() % 512] },
                     8 => WarpOp::TexLoad { lines: vec![next() % 512, next() % 512] },
                     9 => WarpOp::ConstLoad { words: (next() % 3) as u8 + 1 },
-                    10 => WarpOp::Shfl {
+                    _ => WarpOp::Shfl {
                         kind: match next() % 4 {
                             0 => ShflKind::Broadcast,
                             1 => ShflKind::Xor,
@@ -58,8 +62,11 @@ fn make_cap(seed: u64, n_blocks: usize, n_warps: usize, n_ops: usize, sampled: b
                             _ => ShflKind::Down,
                         },
                     },
-                    _ => WarpOp::Bar,
                 });
+            }
+            for _ in 0..bars {
+                let at = (next() % (ops.len() as u64 + 1)) as usize;
+                ops.insert(at, WarpOp::Bar);
             }
             let counters = ProfileCounters {
                 instructions: next() % 10_000,
@@ -99,14 +106,6 @@ fn make_cap(seed: u64, n_blocks: usize, n_warps: usize, n_ops: usize, sampled: b
                         write: true,
                     },
                 },
-                RaceFinding::BarrierDivergence {
-                    block: next() % 8,
-                    thread_a: (next() % 64) as u32,
-                    count_a: (next() % 8) as u32,
-                    thread_b: (next() % 64) as u32,
-                    count_b: (next() % 8) as u32,
-                    sites_differ: next() % 2 == 0,
-                },
                 RaceFinding::MasterGatingViolation {
                     block: next() % 8,
                     space: RaceSpace::Shared,
@@ -139,16 +138,28 @@ fn make_cap(seed: u64, n_blocks: usize, n_warps: usize, n_ops: usize, sampled: b
             shared_per_block: (next() % 48) as u32 * 1024,
             local_per_thread: (next() % 4) as u32 * 64,
         },
-        detect_races: next() % 2 == 0,
         race_mode: match next() % 3 {
-            0 => CapturedRaceMode::Off,
-            1 => CapturedRaceMode::Record,
-            _ => CapturedRaceMode::Fatal,
+            0 => RaceCheckMode::Off,
+            1 => RaceCheckMode::Record,
+            _ => RaceCheckMode::Fatal,
         },
         total_steps: next() % 1_000_000,
         race,
         blocks,
     }
+}
+
+/// The body bytes of a capture's encoding (magic and digest stripped).
+fn body_of(cap: &CapturedLaunch) -> Vec<u8> {
+    cap.encode()[TRACE_MAGIC.len() + 8..].to_vec()
+}
+
+/// Wrap `body` in the magic and its digest: a digest-valid artifact.
+fn seal(body: &[u8]) -> Vec<u8> {
+    let mut bytes = TRACE_MAGIC.to_vec();
+    bytes.extend_from_slice(&fnv64(body).to_le_bytes());
+    bytes.extend_from_slice(body);
+    bytes
 }
 
 proptest! {
@@ -212,13 +223,9 @@ proptest! {
         prop_assert_ne!(d, m.digest(), "resources");
 
         let mut m = cap.clone();
-        m.detect_races = !m.detect_races;
-        prop_assert_ne!(d, m.digest(), "detect_races");
-
-        let mut m = cap.clone();
         m.race_mode = match m.race_mode {
-            CapturedRaceMode::Off => CapturedRaceMode::Record,
-            _ => CapturedRaceMode::Off,
+            RaceCheckMode::Off => RaceCheckMode::Record,
+            _ => RaceCheckMode::Off,
         };
         prop_assert_ne!(d, m.digest(), "race_mode");
 
@@ -323,17 +330,9 @@ proptest! {
         extra in proptest::collection::vec(0u8..=255, 1..16),
     ) {
         let cap = make_cap(seed, 1, 1, 3, false);
-        let mut body = Vec::new();
-        {
-            // Re-derive the body from a clean encode (strip magic+digest).
-            let full = cap.encode();
-            body.extend_from_slice(&full[TRACE_MAGIC.len() + 8..]);
-        }
+        let mut body = body_of(&cap);
         body.extend_from_slice(&extra);
-        let mut bytes = TRACE_MAGIC.to_vec();
-        bytes.extend_from_slice(&fnv64(&body).to_le_bytes());
-        bytes.extend_from_slice(&body);
-        match CapturedLaunch::decode(&bytes) {
+        match CapturedLaunch::decode(&seal(&body)) {
             Err(TraceDecodeError::TrailingBytes { extra: n }) => {
                 prop_assert_eq!(n, extra.len());
             }
@@ -342,5 +341,52 @@ proptest! {
             Err(_) => {}
             Ok(_) => panic!("artifact with {} trailing bytes decoded", extra.len()),
         }
+    }
+
+    /// A digest-valid artifact whose warps disagree on one block's barrier
+    /// count decodes to a typed error naming that block. No kernel run
+    /// produces one, and replaying it would trip the timing engine's
+    /// barrier assertion.
+    #[test]
+    fn divergent_barrier_counts_are_rejected(
+        seed in 0u64..u64::MAX,
+        n_blocks in 1usize..4,
+        n_warps in 2usize..4,
+        pick in 0usize..64,
+        extra in 1usize..3,
+    ) {
+        let mut cap = make_cap(seed, n_blocks, n_warps, 5, false);
+        let block = pick % n_blocks;
+        let warp = pick / n_blocks % n_warps;
+        for _ in 0..extra {
+            cap.blocks[block].warps[warp].ops.push(WarpOp::Bar);
+        }
+        // `encode` digests whatever it is given.
+        prop_assert_eq!(
+            CapturedLaunch::decode(&cap.encode()),
+            Err(TraceDecodeError::DivergentBarriers { block: block as u64 })
+        );
+    }
+
+    /// The byte after the resource estimate is reserved: any value but 0,
+    /// re-digested, is an invalid tag.
+    #[test]
+    fn nonzero_reserved_byte_is_rejected(
+        seed in 0u64..u64::MAX,
+        sampled in any::<bool>(),
+        tag in 1u8..=255,
+    ) {
+        let cap = make_cap(seed, 1, 1, 3, sampled);
+        let mut body = body_of(&cap);
+        // name, grid, block_dim, total/sim blocks, max_blocks, txn, l1 line,
+        // resources
+        let max_blocks = if sampled { 9 } else { 1 };
+        let at = 4 + cap.kernel_name.len() + 12 + 12 + 16 + max_blocks + 4 + 4 + 16;
+        prop_assert_eq!(body[at], 0);
+        body[at] = tag;
+        prop_assert_eq!(
+            CapturedLaunch::decode(&seal(&body)),
+            Err(TraceDecodeError::InvalidTag { what: "reserved", tag })
+        );
     }
 }

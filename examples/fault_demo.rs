@@ -6,7 +6,7 @@
 //! cargo run --release --example fault_demo
 //! ```
 
-use np_exec::{launch, Args, ExecError, FaultKind, SimOptions};
+use np_exec::{launch, Args, ExecError, FaultKind, RaceCheckMode, SimOptions};
 use np_gpu_sim::mem::inject::{InjectConfig, InjectSpace};
 use np_gpu_sim::DeviceConfig;
 use np_kernel_ir::expr::dsl::*;
@@ -37,7 +37,7 @@ fn main() {
     assert_eq!(args.get_f32("out").unwrap().len(), 32);
 
     // 2. Shared-memory race: two warps touch the same tile words with no
-    //    barrier in between (needs the opt-in race detector).
+    //    barrier in between (needs the opt-in race checker in fatal mode).
     let mut b = KernelBuilder::new("racy", 64);
     b.param_global_f32("out");
     b.shared_array("tile", np_kernel_ir::Scalar::F32, 64);
@@ -45,7 +45,13 @@ fn main() {
     b.store("out", tidx(), load("tile", i(63) - tidx()));
     let k = b.finish();
     let mut args = Args::new().buf_f32("out", vec![0.0; 64]);
-    report("shared race", launch(&dev, &k, Dim3::x1(1), &mut args, &SimOptions::checked()));
+    let opts = SimOptions::full().with_race_check(RaceCheckMode::Fatal);
+    let res = launch(&dev, &k, Dim3::x1(1), &mut args, &opts);
+    assert!(matches!(
+        res.as_ref().err().and_then(|e| e.fault()).map(|f| &f.kind),
+        Some(FaultKind::RaceDetected { .. })
+    ));
+    report("shared race", res);
 
     // 3. Runaway loop: the body keeps resetting the induction variable; the
     //    watchdog converts the hang into a typed fault.

@@ -73,13 +73,15 @@ trace-replay() {
 # merge, every paper workload's transformed kernel passing the
 # happens-before checker at slave sizes {2,4,8} (and its dropped-barrier /
 # un-gated-broadcast mutants failing it), both through the test suites and
-# through the npcc --check-races CLI exit codes.
+# through the npcc --check-races CLI exit codes; then the sanitizer tour,
+# whose race case must fault under the fatal checker.
 racecheck() {
   cargo test --release -q -p np-gpu-sim --lib racecheck
   cargo test --release -q --test racecheck_properties
   cargo test --release -q -p cuda-np --test parallel_determinism
   cargo test --release -q -p cuda-np --test conformance
   cargo test --release -q -p cuda-np --test npcc_cli
+  cargo run --release -q --example fault_demo
 }
 
 # Bench-trajectory gate: regenerate the machine-readable perf record twice

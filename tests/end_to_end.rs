@@ -4,7 +4,7 @@
 
 use cuda_np::tuner::{alloc_extra_buffers, autotune_with_policy, default_candidates};
 use cuda_np::{transform, NpOptions, TunePolicy};
-use np_exec::{launch, SimOptions};
+use np_exec::{launch, RaceCheckMode, SimOptions};
 use np_gpu_sim::DeviceConfig;
 use np_workloads::{all_workloads, assert_close, Scale};
 
@@ -189,9 +189,9 @@ fn pre_kepler_target_never_emits_shfl() {
     }
 }
 
-/// Every workload baseline and transformed kernel runs clean under the
-/// shared-memory race detector — a strong check that the transform inserts
-/// the barriers its shared-memory communication requires.
+/// Every transformed workload kernel runs to completion under the fatal
+/// race checker — a strong check that the transform inserts the barriers
+/// its shared-memory communication requires.
 #[test]
 fn transformed_kernels_are_race_free() {
     let dev = DeviceConfig::gtx680();
@@ -199,8 +199,7 @@ fn transformed_kernels_are_race_free() {
         for opts in [NpOptions::inter(4), NpOptions::intra(4)] {
             let Ok(t) = transform(&w.kernel(), &opts) else { continue };
             let mut args = alloc_extra_buffers(w.make_args(), &t, w.grid());
-            let mut sim = w.sim_options();
-            sim.detect_races = true;
+            let sim = w.sim_options().with_race_check(RaceCheckMode::Fatal);
             launch(&dev, &t.kernel, w.grid(), &mut args, &sim)
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
         }

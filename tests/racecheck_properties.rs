@@ -2,12 +2,13 @@
 //! of randomly generated barrier-communication kernels, the clean variant
 //! is never flagged, the variant with a randomly removed barrier is always
 //! flagged, the variant with an un-gated master-only store is always
-//! flagged, and every report is byte-identical across reruns. Over random
+//! flagged, every report is byte-identical across reruns, and fatal mode
+//! faults exactly on the first finding record mode reports. Over random
 //! recorder event streams, the recorder matches a reference model (the
 //! earlier hash-map recorder) byte for byte, also when the stream is
 //! checked one block at a time and the block reports are appended.
 
-use np_exec::{launch, Args, RaceCheckMode, SimOptions};
+use np_exec::{launch, Args, ExecError, FaultKind, RaceCheckMode, SimOptions};
 use np_gpu_sim::racecheck::{
     GatingPolicy, RaceCheckOptions, RaceFinding, RaceRecorder, RaceReport, RaceSpace,
 };
@@ -97,20 +98,18 @@ fn run_checked(kernel: &Kernel, shape: &CommShape, policy: Option<GatingPolicy>)
 #[derive(Debug, Clone)]
 enum Ev {
     /// One thread touches one word.
-    Access { global: bool, array: usize, index: u64, thread: u32, write: bool },
+    Access { global: bool, array: usize, index: u32, thread: u32, write: bool },
     /// Every thread reads one shared word, in thread order or reversed: a
     /// broadcast load, so reader sets grow past the recorder's index
     /// threshold.
-    Broadcast { index: u64, reversed: bool },
-    /// Threads `0..readers` read one shared word, each odd one passing a
-    /// barrier of its own after its read, then `writer` writes the word:
-    /// reads spanning epochs, then a write by another thread. Which reader
-    /// a race names depends on the reader-slot order.
-    ReadsThenWrite { index: u64, readers: u32, writer: u32 },
-    /// One thread passes a barrier at one of a few sites.
-    Barrier { thread: u32, site: u64 },
+    Broadcast { index: u32, reversed: bool },
+    /// Threads `0..readers` read one shared word, the block passing a
+    /// barrier after each odd reader, then `writer` writes the word: reads
+    /// spanning epochs, then a write by another thread. Which reader a race
+    /// names depends on the reader-slot order.
+    ReadsThenWrite { index: u32, readers: u32, writer: u32 },
     /// The whole block passes a barrier.
-    BarrierAll { site: u64 },
+    BarrierAll,
     /// The block ends and the next one begins.
     NextBlock,
 }
@@ -120,9 +119,9 @@ enum Ev {
 const ARRAYS: [&str; 2] = ["tile", "__np_bcast_x"];
 
 /// Few words, so events collide; indices on both sides of a shadow page
-/// boundary, and one far past any buffer.
-fn arb_index() -> impl Strategy<Value = u64> {
-    prop_oneof![0u64..3, 255u64..257, Just(1u64 << 40)]
+/// boundary.
+fn arb_index() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..3, 255u32..257]
 }
 
 fn arb_event() -> impl Strategy<Value = Ev> {
@@ -146,8 +145,7 @@ fn arb_event() -> impl Strategy<Value = Ev> {
             .prop_map(|(index, reversed)| Ev::Broadcast { index, reversed }),
         (arb_index(), 1u32..40, 0u32..40)
             .prop_map(|(index, readers, writer)| Ev::ReadsThenWrite { index, readers, writer }),
-        (0u32..40, 0u64..3).prop_map(|(thread, site)| Ev::Barrier { thread, site }),
-        (0u64..3).prop_map(|site| Ev::BarrierAll { site }),
+        Just(Ev::BarrierAll),
         Just(Ev::NextBlock),
     ]
 }
@@ -156,9 +154,8 @@ fn arb_event() -> impl Strategy<Value = Ev> {
 #[derive(Debug, Clone, Copy)]
 enum Call {
     Begin(u64),
-    Access { space: RaceSpace, array: &'static str, index: u64, thread: u32, write: bool, pc: u64 },
-    Barrier { thread: u32, site: u64 },
-    BarrierAll { site: u64 },
+    Access { space: RaceSpace, array: &'static str, index: u32, thread: u32, write: bool, pc: u64 },
+    BarrierAll,
     End,
 }
 
@@ -188,13 +185,12 @@ fn calls(events: &[Ev], n: u32) -> Vec<Call> {
                 for t in 0..readers.min(n) {
                     access(&mut out, false, 0, index, t, false);
                     if t % 2 == 1 {
-                        out.push(Call::Barrier { thread: t, site: 0 });
+                        out.push(Call::BarrierAll);
                     }
                 }
                 access(&mut out, false, 0, index, writer % n, true);
             }
-            Ev::Barrier { thread, site } => out.push(Call::Barrier { thread: thread % n, site }),
-            Ev::BarrierAll { site } => out.push(Call::BarrierAll { site }),
+            Ev::BarrierAll => out.push(Call::BarrierAll),
             Ev::NextBlock => {
                 block += 1;
                 out.extend([Call::End, Call::Begin(block)]);
@@ -217,11 +213,9 @@ fn run_reference(
     for &c in calls {
         match c {
             Call::Begin(block) => r.begin_block(block, n),
-            Call::Access { space, array, index, thread, write, pc } => {
-                returned.push(r.record_access(space, array, index, thread, write, pc).cloned())
-            }
-            Call::Barrier { thread, site } => r.barrier(thread, site),
-            Call::BarrierAll { site } => r.barrier_all(site),
+            Call::Access { space, array, index, thread, write, pc } => returned
+                .push(r.record_access(space, array, index.into(), thread, write, pc).cloned()),
+            Call::BarrierAll => r.barrier_all(),
             Call::End => r.end_block(),
         }
     }
@@ -256,8 +250,7 @@ fn run_recorder(
                 let f = r.record_access(space, array, index, thread, write, pc - base);
                 returned.push(f.cloned());
             }
-            Call::Barrier { thread, site } => r.barrier(thread, site),
-            Call::BarrierAll { site } => r.barrier_all(site),
+            Call::BarrierAll => r.barrier_all(),
             Call::End => {
                 r.end_block();
                 if per_block {
@@ -387,35 +380,38 @@ proptest! {
         }
     }
 
-    /// Recorder-level barrier divergence: two threads passing different
-    /// barrier counts (or the same count at different sites) are flagged;
-    /// lockstep threads are not. Exercised through the recorder API
-    /// because the interpreter itself refuses to run divergent barriers.
+    /// Fatal mode is record mode failing fast: the clean kernel runs to
+    /// completion, and with any one barrier dropped the launch faults on
+    /// exactly the first finding a record run reports, rendered byte for
+    /// byte (the record run may take the parallel path, whose per-block
+    /// reports are rebased; fatal mode always runs sequentially).
     #[test]
-    fn barrier_divergence_is_flagged_iff_threads_disagree(
-        rounds_a in 0u32..4,
-        extra in 0u32..3,
-        threads in 2u32..8,
+    fn fatal_mode_faults_on_the_first_recorded_finding(
+        shape in arb_shape(),
+        pick in 0usize..64,
     ) {
-        let mut r = RaceRecorder::new(RaceCheckOptions::default());
-        r.begin_block(0, threads);
-        for pc in 0..rounds_a {
-            // All threads pass barrier `pc`...
-            for t in 0..threads {
-                r.barrier(t, pc as u64);
-            }
+        let fatal = SimOptions::full().with_race_check(RaceCheckMode::Fatal);
+        let run_fatal = |k: &Kernel| {
+            let mut args = comm_args(&shape);
+            launch(&DeviceConfig::gtx680(), k, Dim3::x1(shape.grid), &mut args, &fatal)
+        };
+        let k = comm_kernel(&shape);
+        if let Err(e) = run_fatal(&k) {
+            prop_assert!(false, "{shape:?}: clean kernel faulted: {e}");
         }
-        // ...then thread 0 alone passes `extra` more.
-        for pc in 0..extra {
-            r.barrier(0, (rounds_a + pc) as u64);
+        let mut mutant = k.clone();
+        prop_assert!(remove_barrier(&mut mutant.body, pick % count_barriers(&k)));
+        let recorded = run_checked(&mutant, &shape, None);
+        let first = recorded.race.findings.first().expect("a dropped barrier is flagged");
+        match run_fatal(&mutant) {
+            Err(ExecError::Fault(f)) => match &f.kind {
+                FaultKind::RaceDetected { detail } => {
+                    prop_assert_eq!(detail, &first.to_string());
+                }
+                other => prop_assert!(false, "expected RaceDetected, got {other:?}"),
+            },
+            other => prop_assert!(false, "expected a race fault, got {other:?}"),
         }
-        r.end_block();
-        let rep = r.finish();
-        let diverged = rep
-            .findings
-            .iter()
-            .any(|f| matches!(f, RaceFinding::BarrierDivergence { .. }));
-        prop_assert_eq!(diverged, extra > 0, "{}", rep.narrative());
     }
 }
 
@@ -423,7 +419,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The recorder against the reference model, over random event
-    /// streams with per-thread barriers, a gating policy half the time and
+    /// streams with block-wide barriers, a gating policy half the time and
     /// caps of 1 to 8 findings: identical JSON and narrative, identical
     /// findings returned access by access, and the same bytes again when
     /// every block is checked on its own and the reports are appended.
@@ -458,7 +454,8 @@ proptest! {
 /// It is the test-only reference model the recorder must match byte for
 /// byte. The code is copied unchanged, except where it called two private
 /// helpers, the finding cap and the gating name check, which are written
-/// out inline.
+/// out inline, and without the per-thread barrier and barrier-divergence
+/// code the recorder no longer has.
 #[allow(dead_code)]
 mod reference {
     use np_gpu_sim::racecheck::{
@@ -490,24 +487,12 @@ mod reference {
     struct BlockState {
         block: u64,
         epochs: Vec<u32>,
-        /// FNV-1a over the sequence of barrier pcs each thread passed, to
-        /// detect same-count-different-sites divergence.
-        site_hash: Vec<u64>,
         words: HashMap<(RaceSpace, u32, u64), WordState>,
         gating_reported: Vec<u32>,
     }
 
-    fn fnv1a(h: u64, x: u64) -> u64 {
-        let mut h = h;
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
-
-    /// The event consumer. Feed it `begin_block` / `record_access` / `barrier`
-    /// (or `barrier_all`) / `end_block` in execution order, then `finish`.
+    /// The event consumer. Feed it `begin_block` / `record_access` /
+    /// `barrier_all` / `end_block` in execution order, then `finish`.
     pub struct RaceRecorder {
         opts: RaceCheckOptions,
         report: RaceReport,
@@ -559,12 +544,10 @@ mod reference {
 
         /// Start tracking a new block of `n_threads` block-linear threads.
         pub fn begin_block(&mut self, block: u64, n_threads: u32) {
-            // An unterminated previous block still gets its divergence check.
             self.close_block();
             self.cur = Some(BlockState {
                 block,
                 epochs: vec![0; n_threads as usize],
-                site_hash: vec![0xcbf29ce484222325; n_threads as usize],
                 words: HashMap::new(),
                 gating_reported: Vec::new(),
             });
@@ -708,58 +691,24 @@ mod reference {
             None
         }
 
-        /// One thread passed a barrier at site `pc`.
-        pub fn barrier(&mut self, thread: u32, pc: u64) {
-            let Some(cur) = &mut self.cur else { return };
-            if let Some(e) = cur.epochs.get_mut(thread as usize) {
-                *e += 1;
-            }
-            if let Some(h) = cur.site_hash.get_mut(thread as usize) {
-                *h = fnv1a(*h, pc);
-            }
-            self.report.barriers_seen += 1;
-        }
-
-        /// Every thread of the block passed one barrier at site `pc` (the
-        /// lockstep interpreter's barrier shape).
-        pub fn barrier_all(&mut self, pc: u64) {
+        /// Every thread of the block passed one barrier (the lockstep
+        /// interpreter's barrier shape).
+        pub fn barrier_all(&mut self) {
             let Some(cur) = &mut self.cur else { return };
             for e in &mut cur.epochs {
                 *e += 1;
             }
-            for h in &mut cur.site_hash {
-                *h = fnv1a(*h, pc);
-            }
             self.report.barriers_seen += 1;
         }
 
-        /// Finish the current block: run the barrier-divergence check and drop
-        /// the per-word state.
+        /// Finish the current block and drop the per-word state.
         pub fn end_block(&mut self) {
             self.close_block();
         }
 
         fn close_block(&mut self) {
-            let Some(cur) = self.cur.take() else { return };
-            self.report.blocks_checked += 1;
-            if cur.epochs.is_empty() {
-                return;
-            }
-            let (c0, h0) = (cur.epochs[0], cur.site_hash[0]);
-            let divergent = cur
-                .epochs
-                .iter()
-                .zip(&cur.site_hash)
-                .position(|(&c, &h)| c != c0 || h != h0);
-            if let Some(t) = divergent {
-                self.file(RaceFinding::BarrierDivergence {
-                    block: cur.block,
-                    thread_a: 0,
-                    count_a: c0,
-                    thread_b: t as u32,
-                    count_b: cur.epochs[t],
-                    sites_differ: cur.epochs[t] == c0,
-                });
+            if self.cur.take().is_some() {
+                self.report.blocks_checked += 1;
             }
         }
 
