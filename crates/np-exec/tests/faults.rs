@@ -5,9 +5,11 @@
 //! Paths covered: out-of-bounds reads *and* writes in global, shared and
 //! local memory; shared-memory races under the fatal race checker;
 //! barriers under divergent control flow (within a warp and across warps);
-//! undeclared scalars; ill-typed stores; invalid `__shfl` widths; watchdog
-//! timeouts on runaway kernels; and one seeded fault-injection run per
-//! memory space.
+//! undeclared scalars, including a register no lane of the warp assigned;
+//! ill-typed stores; ill-typed arithmetic and integer division by zero,
+//! which fault only when an active lane reaches them; invalid `__shfl`
+//! widths; watchdog timeouts on runaway kernels; and one seeded
+//! fault-injection run per memory space.
 
 use np_exec::{
     launch, Args, ExecError, FaultKind, KernelReport, RaceCheckMode, SimFault, SimOptions,
@@ -272,6 +274,83 @@ fn ill_typed_store() {
     let f = fault_of(launch(&dev(), &k, Dim3::x1(1), &mut args, &SimOptions::full()));
     assert_eq!(f.warp, Some(0));
     assert!(matches!(f.kind, FaultKind::IllTyped { .. }), "{:?}", f.kind);
+}
+
+/// Type checks run per executed operation: an ill-typed `f32 + i32` that
+/// no lane reaches is never checked, and one that some lane reaches
+/// faults at its warp with no lane attached.
+#[test]
+fn ill_typed_arithmetic_faults_only_where_a_lane_runs_it() {
+    let kernel = |name: &str, cond: np_kernel_ir::expr::Expr| {
+        let mut b = KernelBuilder::new(name, 64);
+        b.param_global_f32("out");
+        b.if_(cond, |b| b.store("out", tidx(), f(1.0) + i(1)));
+        b.store("out", tidx(), f(2.0));
+        b.finish()
+    };
+    let mut args = Args::new().buf_f32("out", vec![0.0; 64]);
+    let k = kernel("untaken", lt(tidx(), i(0)));
+    launch(&dev(), &k, Dim3::x1(1), &mut args, &SimOptions::full())
+        .expect("an ill-typed expression no lane reaches does not fault");
+    assert!(args.get_f32("out").unwrap().iter().all(|&x| x == 2.0));
+
+    let mut args = Args::new().buf_f32("out", vec![0.0; 64]);
+    let k = kernel("taken", ge(tidx(), i(40)));
+    let f = fault_of(launch(&dev(), &k, Dim3::x1(1), &mut args, &SimOptions::full()));
+    assert_eq!(
+        f.to_string(),
+        "ill-typed in kernel \"taken\", warp 1: type mismatch in binary Add: F32 vs I32 \
+         (insert an explicit Cast)"
+    );
+}
+
+/// Division is checked lane by lane under the active mask: a zero divisor
+/// in a masked-off lane is harmless, in an active lane it faults there.
+#[test]
+fn integer_division_by_zero_faults_only_in_an_active_lane() {
+    let mut b = KernelBuilder::new("maskdiv", 32);
+    b.param_global_i32("out");
+    b.decl_i32("d", tidx() - i(5));
+    b.if_(ne(v("d"), i(0)), |b| b.store("out", tidx(), i(100) / v("d")));
+    let k = b.finish();
+    let mut args = Args::new().buf_i32("out", vec![-1; 32]);
+    launch(&dev(), &k, Dim3::x1(1), &mut args, &SimOptions::full())
+        .expect("the zero divisor sits in a masked-off lane");
+    let out = args.get_i32("out").unwrap();
+    for (t, &x) in out.iter().enumerate() {
+        let expect = if t == 5 { -1 } else { 100 / (t as i32 - 5) };
+        assert_eq!(x, expect, "lane {t}");
+    }
+
+    let mut b = KernelBuilder::new("div0", 64);
+    b.param_global_i32("out");
+    b.store("out", tidx(), i(100) / (tidx() - i(37)));
+    let k = b.finish();
+    let mut args = Args::new().buf_i32("out", vec![0; 64]);
+    let f = fault_of(launch(&dev(), &k, Dim3::x1(1), &mut args, &SimOptions::full()));
+    assert_eq!(
+        f.to_string(),
+        "invalid operation in kernel \"div0\", warp 1, lane 5: integer division by zero"
+    );
+}
+
+/// Registers are per warp and come into existence at their first
+/// assignment: a warp none of whose lanes assigned `x` faults reading it,
+/// even though another warp did assign it.
+#[test]
+fn register_read_before_any_lane_assigns_it_is_undeclared() {
+    let mut b = KernelBuilder::new("unassigned", 64);
+    b.param_global_f32("out");
+    b.if_(lt(tidx(), i(32)), |b| b.assign("x", f(1.0)));
+    b.store("out", tidx(), v("x"));
+    let k = b.finish();
+    let mut args = Args::new().buf_f32("out", vec![0.0; 64]);
+    let f = fault_of(launch(&dev(), &k, Dim3::x1(1), &mut args, &SimOptions::full()));
+    assert_eq!(
+        f.to_string(),
+        "undeclared name in kernel \"unassigned\", warp 1: \"x\" [use of undeclared scalar]"
+    );
+    assert!(args.get_f32("out").unwrap()[..32].iter().all(|&x| x == 1.0), "warp 0 stored");
 }
 
 #[test]

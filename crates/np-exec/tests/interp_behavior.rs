@@ -280,6 +280,48 @@ fn select_is_evaluated_without_divergence_cost() {
     }
 }
 
+/// The watchdog's step count, by hand: one step per warp statement, one
+/// per warp-level loop test, one per block-level statement and one per
+/// block-level loop test. 64 threads = 2 warps, one block.
+#[test]
+fn steps_count_warp_and_block_level_statements_exactly() {
+    let mut b = KernelBuilder::new("steps", 64);
+    b.param_global_f32("out");
+    b.decl_i32("t", tidx()); // 2 warps x 1 = 2
+    b.decl_f32("acc", f(0.0)); // 2
+    // Block-level uniform loop holding a barrier: 3 tests (k = 0, 1, 2).
+    b.for_loop("k", i(0), i(2), |b| {
+        // Per warp and outer trip: 1 statement + 3 tests (lanes with
+        // t % 3 == 2 run twice) + 2 body statements = 6, so 12 for both
+        // warps.
+        b.for_loop("j", i(0), v("t") % i(3), |b| {
+            b.assign("acc", v("acc") + f(1.0));
+        });
+        b.sync(); // 1
+    });
+    b.store("out", v("t"), v("acc")); // 2
+    let k = b.finish();
+    // 2 + 2 + 3 + 2 x (12 + 1) + 2
+    let steps = 35;
+
+    let mut args = Args::new().buf_f32("out", vec![0.0; 64]);
+    let opts = SimOptions::full().with_watchdog(Some(steps));
+    launch(&dev(), &k, Dim3::x1(1), &mut args, &opts).expect("exact budget passes");
+    for (t, &x) in args.get_f32("out").unwrap().iter().enumerate() {
+        assert_eq!(x, (2 * (t % 3)) as f32, "thread {t}");
+    }
+    let (_, cap) = np_exec::capture_launch(&dev(), &k, Dim3::x1(1), &mut args, &opts).unwrap();
+    assert_eq!(cap.total_steps, steps);
+
+    let tight = SimOptions::full().with_watchdog(Some(steps - 1));
+    let err = launch(&dev(), &k, Dim3::x1(1), &mut args, &tight).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        format!("kernel fault: watchdog timeout in kernel \"steps\": exceeded {} interpreted steps \
+                 (infinite loop?)", steps - 1)
+    );
+}
+
 #[test]
 fn math_intrinsics_match_std() {
     let mut b = KernelBuilder::new("math", 32);
