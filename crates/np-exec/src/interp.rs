@@ -1,8 +1,8 @@
-//! The SIMT interpreter: functional lockstep execution of one thread block,
-//! emitting a timing trace as a side effect.
+//! The SIMT interpreter: functional lockstep execution of one thread block
+//! from its compiled [`Program`], emitting a timing trace as a side effect.
 //!
 //! Execution model:
-//! * warps execute statements in SIMT lockstep with an active-lane mask;
+//! * warps execute ops in SIMT lockstep with an active-lane mask;
 //!   `If`/`For` divergence serializes both paths / extra iterations, which
 //!   shows up in the trace exactly as it would on hardware;
 //! * statements that contain no `__syncthreads` execute warp-at-a-time;
@@ -10,13 +10,15 @@
 //!   conditionals with syncs inside) execute in block-level lockstep, and
 //!   the interpreter *checks* the CUDA contract that control flow around
 //!   barriers is uniform across the block;
-//! * warps of one block run sequentially in warp-id order between barriers,
-//!   so functional results are deterministic even for racy kernels.
+//! * warps of one block run sequentially in warp-id order, one statement
+//!   at a time, so functional results are deterministic even for racy
+//!   kernels.
 //!
-//! The interpreter runs over the slot-indexed
-//! [`InternedKernel`](np_kernel_ir::slots::InternedKernel): every scalar
-//! register, array, and parameter was resolved to a dense index before the
-//! first block ran, so the hot path performs no string hashing.
+//! Each block worker owns one [`Vm`]: a value file per warp (registers,
+//! specials, constants, temporaries; see [`crate::program`]), the block's
+//! shared arrays and the mask stack, reused from block to block. Types are
+//! checked per op from the operands' tags, so ill-typed code faults only
+//! when a lane reaches it.
 //!
 //! Contract violations never panic: every check surfaces as a typed
 //! [`SimFault`] threaded out through `Result` (see [`crate::fault`]). The
@@ -37,16 +39,17 @@
 #![allow(clippy::result_large_err)]
 
 use crate::fault::{FaultKind, SimFault};
-use crate::machine::{ArgValue, ArrayBinding, Buffer, GlobalState};
-use crate::value::{lanes, Mask, ValueError, WVal, LANES};
+use crate::machine::{ArrayBinding, Buffer, GlobalState};
+use crate::program::{BlockOp, Op, Program, Slot, BLOCK_IDX, SPECIALS, TID};
+use crate::value::{self, blend, bool_mask, lanes, Lanes, Mask, ValueError, FULL_MASK, LANES};
 use np_gpu_sim::config::DeviceConfig;
 use np_gpu_sim::mem::inject::{FaultInjector, InjectConfig, InjectSpace, Injection};
 use np_gpu_sim::mem::local::LocalLayout;
 use np_gpu_sim::mem::LaneAddrs;
 use np_gpu_sim::racecheck::{RaceRecorder, RaceReport, RaceSpace};
 use np_gpu_sim::trace::{BlockTrace, ShflKind, TraceBuilder};
-use np_kernel_ir::expr::{BinOp, ShflMode, Special};
-use np_kernel_ir::slots::{ArrayRef, IExpr, IStmt, InternedKernel, ParamRef};
+use np_kernel_ir::expr::{BinOp, ShflMode};
+use np_kernel_ir::slots::{ArrayRef, InternedKernel};
 use np_kernel_ir::types::{Dim3, MemSpace, Scalar};
 
 /// Watchdog state: a per-launch budget of interpreted steps.
@@ -142,13 +145,6 @@ pub(crate) fn bitmaps_intersect(a: &[u64], b: &[u64]) -> bool {
 }
 
 impl GlobalMem<'_> {
-    fn scalar(&self, slot: usize) -> &ArgValue {
-        match self {
-            GlobalMem::Direct(g) => &g.scalars[slot],
-            GlobalMem::Logged(m) => &m.base.scalars[slot],
-        }
-    }
-
     fn binding(&self, slot: usize) -> ArrayBinding {
         match self {
             GlobalMem::Direct(g) => g.bindings[slot],
@@ -182,6 +178,15 @@ impl GlobalMem<'_> {
         }
     }
 
+    /// Read array `slot` at `idx` into `bits` for the lanes of `mask`.
+    fn load_lanes(&mut self, slot: usize, idx: &Lanes, mask: Mask, bits: &mut Lanes) {
+        match self {
+            GlobalMem::Direct(g) => g.buffers[slot].read_lanes(idx, mask, bits),
+            GlobalMem::Logged(m) if !m.rw[slot] => m.base.buffers[slot].read_lanes(idx, mask, bits),
+            mem => lanes(mask).for_each(|l| bits[l] = mem.load_bits(slot, idx[l] as usize)),
+        }
+    }
+
     fn store_bits(&mut self, slot: usize, idx: usize, bits: u32, step: u64) {
         match self {
             GlobalMem::Direct(g) => g.buffers[slot].write_bits(idx, bits),
@@ -204,7 +209,10 @@ enum RaceSink {
     Off,
     /// Feed the recorder; `fatal` turns the first finding into a
     /// [`FaultKind::RaceDetected`] fault.
-    Recorder { rec: Box<RaceRecorder>, fatal: bool },
+    Recorder {
+        rec: Box<RaceRecorder>,
+        fatal: bool,
+    },
 }
 
 /// Everything a parallel worker hands back for one block, besides the
@@ -324,7 +332,9 @@ impl<'a> LaunchCtx<'a> {
                 ));
             }
         }
-        let Some(wd) = &mut self.watchdog else { return Ok(()) };
+        let Some(wd) = &mut self.watchdog else {
+            return Ok(());
+        };
         if wd.left == 0 {
             return Err(SimFault::new(kernel_name, FaultKind::Watchdog { limit: wd.limit }));
         }
@@ -332,67 +342,65 @@ impl<'a> LaunchCtx<'a> {
         Ok(())
     }
 
-    /// Consult the injector for one lane load.
-    fn inject(&mut self, space: InjectSpace, addr: u64) -> Option<Injection> {
-        self.injector.as_mut()?.decide(space, addr)
+    /// Consult the injector for lane `lane` of `at` loading `bits` from
+    /// `addr` (element `site`): a bit flip corrupts the lane, a forced fault
+    /// stops the load.
+    fn inject(
+        &mut self,
+        ik: &InternedKernel,
+        (space, addr): (InjectSpace, u64),
+        bits: &mut u32,
+        at: &Index,
+        lane: usize,
+        site: (&str, u32),
+    ) -> Result<(), SimFault> {
+        match self.injector.as_mut().and_then(|inj| inj.decide(space, addr)) {
+            Some(Injection::BitFlip(b)) => *bits ^= 1 << b,
+            Some(Injection::Fault) => {
+                return Err(SimFault::new(&ik.name, FaultKind::Injected { space, addr })
+                    .at_warp(at.warp)
+                    .at_lane(lane)
+                    .with_context(format!("load {}[{}]", site.0, site.1)))
+            }
+            None => {}
+        }
+        Ok(())
     }
 
-    /// Feed one thread-granular access to the race checker; in fatal mode a
-    /// triggered finding becomes a fault at the second access's warp.
-    #[allow(clippy::too_many_arguments)]
-    fn race_access(
+    /// Feed one warp access to `site`, thread-granular and in lane order, to
+    /// the race checker; in fatal mode a triggered finding becomes a fault
+    /// at the second access's warp and lane.
+    fn race_lanes(
         &mut self,
         ik: &InternedKernel,
         site: ArraySite,
-        index: u32,
-        thread: u32,
+        at: &Index,
         write: bool,
-        warp: u64,
     ) -> Result<(), SimFault> {
         let pc = self.step;
-        match &mut self.race {
-            RaceSink::Off => Ok(()),
-            RaceSink::Recorder { rec, fatal } => {
-                let (shared_ids, param_ids) = &mut self.race_ids;
-                let cached = match site {
-                    ArraySite::Shared(sl) => {
-                        let sl = sl as usize;
-                        if shared_ids.len() <= sl {
-                            shared_ids.resize(sl + 1, None);
-                        }
-                        &mut shared_ids[sl]
-                    }
-                    ArraySite::GlobalParam(pl) => {
-                        let pl = pl as usize;
-                        if param_ids.len() <= pl {
-                            param_ids.resize(pl + 1, None);
-                        }
-                        &mut param_ids[pl]
-                    }
-                };
-                let id = match *cached {
-                    Some(id) => id,
-                    None => {
-                        let id = rec.intern_id(site.name(ik));
-                        *cached = Some(id);
-                        id
-                    }
-                };
-                let finding =
-                    rec.record_access_by_id(site.space(), id, index, thread, write, pc);
-                if *fatal {
-                    if let Some(f) = finding {
-                        return Err(SimFault::new(
-                            &ik.name,
-                            FaultKind::RaceDetected { detail: f.to_string() },
-                        )
-                        .at_warp(warp)
-                        .at_lane(thread as usize % LANES));
-                    }
-                }
-                Ok(())
+        let RaceSink::Recorder { rec, fatal } = &mut self.race else { return Ok(()) };
+        let (shared_ids, param_ids) = &mut self.race_ids;
+        let (ids, slot) = match site {
+            ArraySite::Shared(s) => (shared_ids, s as usize),
+            ArraySite::GlobalParam(p) => (param_ids, p as usize),
+        };
+        if ids.len() <= slot {
+            ids.resize(slot + 1, None);
+        }
+        let id = *ids[slot].get_or_insert_with(|| rec.intern_id(site.name(ik)));
+        for l in lanes(at.mask) {
+            let thread = at.base + l as u32;
+            let finding = rec.record_access_by_id(site.space(), id, at.idx[l], thread, write, pc);
+            if let (true, Some(f)) = (*fatal, finding) {
+                return Err(SimFault::new(
+                    &ik.name,
+                    FaultKind::RaceDetected { detail: f.to_string() },
+                )
+                .at_warp(at.warp)
+                .at_lane(l));
             }
         }
+        Ok(())
     }
 
     /// Every thread of the current block passed a barrier.
@@ -415,10 +423,6 @@ impl<'a> LaunchCtx<'a> {
         }
     }
 
-    fn race_armed(&self) -> bool {
-        !matches!(self.race, RaceSink::Off)
-    }
-
     /// Total interpreted steps so far (whole-launch on the sequential path).
     pub fn steps(&self) -> u64 {
         self.step
@@ -431,41 +435,6 @@ impl<'a> LaunchCtx<'a> {
             RaceSink::Off => None,
         }
     }
-}
-
-/// Typed raw storage for a shared or local array (element-major for local:
-/// index `i` of lane `l` lives at `i * LANES + l`).
-struct RawArray {
-    ty: Scalar,
-    bits: Vec<u32>,
-    byte_offset: u32,
-    len: u32,
-    /// True for register-file arrays: functionally per-thread like local
-    /// memory, but accesses cost only ALU work.
-    in_registers: bool,
-}
-
-/// Per-warp interpreter state. Registers and local arrays are slot-indexed
-/// by the interned kernel's numbering.
-struct WarpCtx {
-    regs: Vec<Option<WVal>>,
-    local: Vec<RawArray>,
-    tid: [WVal; 3],
-    exist_mask: Mask,
-    warp_global_id: u64,
-    /// Block-local warp index: lane `l` of this warp is block-linear
-    /// thread `warp_in_block * 32 + l` (race findings are thread-granular).
-    warp_in_block: u32,
-    builder: TraceBuilder,
-}
-
-/// Per-block interpreter state.
-struct BlockCtx {
-    shared: Vec<RawArray>,
-    block_idx: (u32, u32),
-    block_dim: Dim3,
-    grid_dim: Dim3,
-    local_layout: LocalLayout,
 }
 
 /// Wrap a lane-vector operation error into a fault at a known warp.
@@ -482,170 +451,348 @@ fn vfault(ik: &InternedKernel, warp: u64, e: ValueError) -> SimFault {
     f
 }
 
-/// Execute one thread block functionally; returns its timing trace, or the
-/// first fault the sanitizer detected.
-pub(crate) fn run_block(
-    ik: &InternedKernel,
-    dev: &DeviceConfig,
-    ctx: &mut LaunchCtx,
-    block_idx: (u32, u32),
-    grid_dim: Dim3,
-    first_warp_global_id: u64,
-    local_bytes_per_thread: u32,
-) -> Result<BlockTrace, SimFault> {
-    let block_dim = ik.block_dim;
-    let n_threads = block_dim.count() as usize;
-    let n_warps = n_threads.div_ceil(LANES);
-
-    // The interning pre-pass already walked the declarations (same order,
-    // same byte-offset cursors as the old per-block scan); an invalid
-    // declaration space still faults before anything executes.
-    if let Some((name, other)) = &ik.bad_decl {
-        return Err(SimFault::new(
-            &ik.name,
-            FaultKind::InvalidOperation {
-                detail: format!("cannot declare array {name:?} in {other:?} space"),
-            },
-        ));
-    }
-
-    let shared: Vec<RawArray> = ik
-        .shared
-        .iter()
-        .map(|d| RawArray {
-            ty: d.ty,
-            bits: vec![0; d.len as usize],
-            byte_offset: d.byte_offset,
-            len: d.len,
-            in_registers: false,
-        })
-        .collect();
-
-    let mut block = BlockCtx {
-        shared,
-        block_idx,
-        block_dim,
-        grid_dim,
-        local_layout: LocalLayout {
-            bytes_per_thread: local_bytes_per_thread.max(ik.local_decl_bytes).max(1),
-        },
-    };
-
-    let n_regs = ik.reg_names.len();
-    let mut warps: Vec<WarpCtx> = (0..n_warps)
-        .map(|w| {
-            let mut tx = [0i32; LANES];
-            let mut ty_ = [0i32; LANES];
-            let mut tz = [0i32; LANES];
-            let mut exist: Mask = 0;
-            for l in 0..LANES {
-                let t = w * LANES + l;
-                if t < n_threads {
-                    exist |= 1 << l;
-                    tx[l] = (t as u32 % block_dim.x) as i32;
-                    ty_[l] = ((t as u32 / block_dim.x) % block_dim.y) as i32;
-                    tz[l] = (t as u32 / (block_dim.x * block_dim.y)) as i32;
-                }
-            }
-            let local = ik
-                .local
-                .iter()
-                .map(|d| RawArray {
-                    ty: d.ty,
-                    bits: vec![0; d.len as usize * LANES],
-                    byte_offset: d.byte_offset,
-                    len: d.len,
-                    in_registers: d.in_registers,
-                })
-                .collect();
-            WarpCtx {
-                regs: vec![None; n_regs],
-                local,
-                tid: [WVal::I32(tx), WVal::I32(ty_), WVal::I32(tz)],
-                exist_mask: exist,
-                warp_global_id: first_warp_global_id + w as u64,
-                warp_in_block: w as u32,
-                builder: TraceBuilder::new(dev.txn_bytes, dev.l1_line),
-            }
-        })
-        .collect();
-
-    let block_linear = block_idx.1 as u64 * grid_dim.x as u64 + block_idx.0 as u64;
-    ctx.race_begin_block(block_linear, n_threads as u32);
-    exec_block_level(&ik.body, ik, &mut warps, &mut block, ctx)?;
-    ctx.race_end_block();
-
-    Ok(BlockTrace { warps: warps.into_iter().map(|w| w.builder.finish()).collect() })
+fn ill_typed(ik: &InternedKernel, warp: u64, detail: String) -> SimFault {
+    SimFault::new(&ik.name, FaultKind::IllTyped { detail }).at_warp(warp)
 }
 
-/// Execute statements at block level, switching between warp-at-a-time and
-/// lockstep execution around barriers.
-fn exec_block_level(
-    stmts: &[IStmt],
-    ik: &InternedKernel,
-    warps: &mut [WarpCtx],
-    block: &mut BlockCtx,
-    ctx: &mut LaunchCtx,
-) -> Result<(), SimFault> {
-    for s in stmts {
-        if !s.has_sync() {
-            for w in warps.iter_mut() {
-                let mask = w.exist_mask;
-                exec_stmt_warp(s, ik, w, block, ctx, mask)?;
-            }
-            continue;
-        }
-        match s {
-            IStmt::SyncThreads => {
-                ctx.tick(&ik.name)?;
-                ctx.race_barrier_all();
-                for w in warps.iter_mut() {
-                    w.builder.bar();
-                }
-            }
-            IStmt::If { cond, then_body, else_body, .. } => {
-                ctx.tick(&ik.name)?;
-                let c = eval_uniform_cond(cond, ik, warps, block, ctx)?;
-                if c {
-                    exec_block_level(then_body, ik, warps, block, ctx)?;
-                } else {
-                    exec_block_level(else_body, ik, warps, block, ctx)?;
-                }
-            }
-            IStmt::For { var, init, bound, step, body, .. } => {
-                // Lockstep loop: every thread follows the same trip count.
-                for w in warps.iter_mut() {
-                    let mask = w.exist_mask;
-                    let v = eval(init, ik, w, block, ctx, mask)?;
-                    set_reg(w, *var, v, mask, ik)?;
-                }
-                loop {
-                    ctx.tick(&ik.name)?;
-                    // Inlined `var < bound`: reading the register emits no
-                    // trace ops, the bound may, the compare costs one ALU op
-                    // — the same sequence the old expression tree produced.
-                    if !uniform_loop_cond(*var, bound, ik, warps, block, ctx)? {
-                        break;
-                    }
-                    exec_block_level(body, ik, warps, block, ctx)?;
-                    for w in warps.iter_mut() {
-                        let mask = w.exist_mask;
-                        let va = read_reg(w, *var, ik)?;
-                        let vs = eval(step, ik, w, block, ctx, mask)?;
-                        w.builder.alu(1);
-                        let wid = w.warp_global_id;
-                        let stepped = WVal::binary(BinOp::Add, &va, &vs, mask)
-                            .map_err(|e| vfault(ik, wid, e))?;
-                        set_reg(w, *var, stepped, mask, ik)?;
-                    }
-                }
-            }
-            // Internal invariant: has_sync() is true only for the
-            // statement shapes handled above.
-            other => unreachable!("statement cannot contain a barrier: {other:?}"),
+/// One warp's state: its value file and its per-thread arrays.
+struct Warp {
+    bits: Vec<Lanes>,
+    /// `None` marks a register no lane of this warp has assigned yet.
+    tags: Vec<Option<Scalar>>,
+    /// Local and register-file arrays, element-major: index `i` of lane
+    /// `l` lives at `i * LANES + l`.
+    local: Vec<Vec<u32>>,
+    exist: Mask,
+    /// Global warp id within the launch.
+    gid: u64,
+    /// Block-linear thread id of lane 0 (race findings are thread-granular).
+    base: u32,
+    builder: TraceBuilder,
+}
+
+impl Warp {
+    /// The type of the value in `slot`; a register no lane has assigned
+    /// faults.
+    #[inline(always)]
+    fn ty(&self, slot: Slot, ik: &InternedKernel) -> Result<Scalar, SimFault> {
+        match self.tags[slot as usize] {
+            Some(t) => Ok(t),
+            None => Err(self.undeclared(slot, ik)),
         }
     }
-    Ok(())
+
+    #[cold]
+    fn undeclared(&self, slot: Slot, ik: &InternedKernel) -> SimFault {
+        let name = ik.reg_names[slot as usize].clone();
+        SimFault::new(&ik.name, FaultKind::UndeclaredName { name })
+            .at_warp(self.gid)
+            .with_context("use of undeclared scalar")
+    }
+
+    #[inline]
+    fn put(&mut self, dst: Slot, ty: Scalar, v: Lanes) {
+        self.bits[dst as usize] = v;
+        self.tags[dst as usize] = Some(ty);
+    }
+
+    /// Assign `src` to register `reg` under `mask`. A register takes its
+    /// type from its first assignment, zero in the lanes outside the mask.
+    fn assign(
+        &mut self,
+        reg: Slot,
+        src: Slot,
+        mask: Mask,
+        ik: &InternedKernel,
+    ) -> Result<(), SimFault> {
+        let (r, ty) = (reg as usize, self.ty(src, ik)?);
+        let old = match self.tags[r] {
+            Some(t) if t != ty => {
+                return Err(ill_typed(
+                    ik,
+                    self.gid,
+                    format!("type mismatch in assignment: {t:?} = {ty:?}"),
+                )
+                .with_context(format!("assignment to {:?}", ik.reg_names[r])))
+            }
+            Some(_) => self.bits[r],
+            None => [0; LANES],
+        };
+        let v = blend(mask, &self.bits[src as usize], &old);
+        self.put(reg, ty, v);
+        Ok(())
+    }
+}
+
+/// Mask-stack entry of a warp-level `If` (`other` = the else lanes, `flag`
+/// = diverged) or loop (`flag` = ran with a partial mask).
+struct Frame {
+    saved: Mask,
+    other: Mask,
+    flag: bool,
+}
+
+/// What a memory op touches besides its warp.
+struct Mem<'v, 'c, 'g> {
+    ik: &'v InternedKernel,
+    ctx: &'c mut LaunchCtx<'g>,
+    shared: &'v mut [Vec<u32>],
+    layout: LocalLayout,
+}
+
+/// One memory op's index operand, with the warp and lanes it runs on.
+struct Index {
+    ty: Scalar,
+    idx: Lanes,
+    mask: Mask,
+    warp: u64,
+    /// Block-linear thread id of lane 0.
+    base: u32,
+}
+
+impl Index {
+    /// Check the index over the active lanes: it must be an integer.
+    /// Returns the lanes that take effect — those before the first
+    /// out-of-bounds lane — and that lane's fault, which follows them.
+    fn bounds(
+        &self,
+        ik: &InternedKernel,
+        (array, len): (&str, usize),
+        space: MemSpace,
+        write: bool,
+    ) -> Result<(Mask, Option<Box<SimFault>>), SimFault> {
+        let (ty, idx, mask) = (self.ty, &self.idx, self.mask);
+        if !matches!(ty, Scalar::I32 | Scalar::U32) {
+            let detail = format!("index into {array:?} must be an integer, found {ty:?}");
+            return Err(ill_typed(ik, self.warp, detail).at_lane(mask.trailing_zeros() as usize));
+        }
+        // Every lane in bounds (the common case) needs no per-lane mask.
+        let len32 = u32::try_from(len).unwrap_or(u32::MAX);
+        if idx.iter().fold(0, |any, &i| any | (i >= len32) as u32) == 0 {
+            return Ok((mask, None));
+        }
+        let bad =
+            idx.iter().enumerate().fold(0, |m, (l, &i)| m | ((i as usize >= len) as u32) << l);
+        let Some(lane) = (bad & mask != 0).then(|| (bad & mask).trailing_zeros() as usize) else {
+            return Ok((mask, None));
+        };
+        let index = if ty == Scalar::I32 { idx[lane] as i32 as i64 } else { idx[lane] as i64 };
+        let kind = FaultKind::OutOfBounds { space, array: array.to_string(), index, len, write };
+        let fault = SimFault::new(&ik.name, kind).at_warp(self.warp).at_lane(lane);
+        Ok((mask & ((1 << lane) - 1), Some(Box::new(fault))))
+    }
+
+    fn addr(&self, base: u64, l: usize) -> u64 {
+        base + self.idx[l] as u64 * 4
+    }
+}
+
+fn unknown_array(ik: &InternedKernel, warp: u64, u: u32, what: &str) -> SimFault {
+    let name = ik.unknown_names[u as usize].clone();
+    SimFault::new(&ik.name, FaultKind::UndeclaredName { name })
+        .at_warp(warp)
+        .with_context(format!("{what} unknown array"))
+}
+
+impl Warp {
+    fn index(&self, idx: Slot, mask: Mask, ik: &InternedKernel) -> Result<Index, SimFault> {
+        let ty = self.ty(idx, ik)?;
+        Ok(Index { ty, idx: self.bits[idx as usize], mask, warp: self.gid, base: self.base })
+    }
+
+    /// Load into `bits` (zeroed) from `array` at `idx`; returns the
+    /// element type.
+    fn load(
+        &mut self,
+        m: &mut Mem,
+        array: ArrayRef,
+        idx: Slot,
+        mask: Mask,
+        bits: &mut Lanes,
+    ) -> Result<Scalar, SimFault> {
+        let ik = m.ik;
+        let at = self.index(idx, mask, ik)?;
+        let inject = m.ctx.injector.is_some();
+        let ty = match array {
+            ArrayRef::Shared(s) => {
+                let d = &ik.shared[s as usize];
+                let (ok, oob) =
+                    at.bounds(ik, (&d.name, d.len as usize), MemSpace::Shared, false)?;
+                let mut addrs: LaneAddrs = [None; LANES];
+                for l in lanes(ok) {
+                    let addr = at.addr(d.byte_offset as u64, l);
+                    addrs[l] = Some(addr);
+                    bits[l] = m.shared[s as usize][at.idx[l] as usize];
+                    if inject {
+                        let (space, site) = (InjectSpace::Shared, (d.name.as_str(), at.idx[l]));
+                        m.ctx.inject(ik, (space, addr), &mut bits[l], &at, l, site)?;
+                    }
+                }
+                oob.map_or(Ok(()), |f| Err(*f))?;
+                m.ctx.race_lanes(ik, ArraySite::Shared(s), &at, false)?;
+                self.builder.shared(&addrs, false);
+                d.ty
+            }
+            ArrayRef::Local(s) => {
+                let d = &ik.local[s as usize];
+                let (ok, oob) = at.bounds(ik, (&d.name, d.len as usize), MemSpace::Local, false)?;
+                let mut offsets = [None; LANES];
+                for l in lanes(ok) {
+                    let off = d.byte_offset + at.idx[l] * 4;
+                    offsets[l] = Some(off);
+                    bits[l] = self.local[s as usize][at.idx[l] as usize * LANES + l];
+                    // Register-file arrays are not memory: the injector
+                    // skips them.
+                    if inject && !d.in_registers {
+                        let (space, site) = (InjectSpace::Local, (d.name.as_str(), at.idx[l]));
+                        m.ctx.inject(ik, (space, off as u64), &mut bits[l], &at, l, site)?;
+                    }
+                }
+                oob.map_or(Ok(()), |f| Err(*f))?;
+                if d.in_registers {
+                    self.builder.alu(1);
+                } else {
+                    self.builder.local(m.layout, at.warp, &offsets, false);
+                }
+                d.ty
+            }
+            ArrayRef::Param(p) => {
+                let (name, pi) = (ik.array_params[p as usize].name.as_str(), p as usize);
+                let binding = m.ctx.mem.binding(pi);
+                let (ty, len) = m.ctx.mem.buf_ty_len(pi);
+                let (ok, oob) = at.bounds(ik, (name, len), binding.space, false)?;
+                let mut addrs: LaneAddrs = [None; LANES];
+                lanes(ok).for_each(|l| addrs[l] = Some(at.addr(binding.base_addr, l)));
+                m.ctx.mem.load_lanes(pi, &at.idx, ok, bits);
+                oob.map_or(Ok(()), |f| Err(*f))?;
+                if binding.space == MemSpace::Global {
+                    m.ctx.race_lanes(ik, ArraySite::GlobalParam(p), &at, false)?;
+                }
+                for l in lanes(if inject { mask } else { 0 }) {
+                    let (space, addr) = (InjectSpace::Global, at.addr(binding.base_addr, l));
+                    m.ctx.inject(ik, (space, addr), &mut bits[l], &at, l, (name, at.idx[l]))?;
+                }
+                match binding.space {
+                    MemSpace::Global => self.builder.global(&addrs, 4, false),
+                    MemSpace::Texture => self.builder.tex(&addrs),
+                    MemSpace::Constant => self.builder.constant(&addrs),
+                    // Internal invariant: bind() only creates these three
+                    // spaces.
+                    _ => unreachable!(),
+                }
+                ty
+            }
+            ArrayRef::Unknown(u) => return Err(unknown_array(ik, at.warp, u, "load from")),
+        };
+        if ty == Scalar::Bool {
+            *bits = bits.map(|b| (b != 0) as u32);
+        }
+        Ok(ty)
+    }
+
+    fn store(
+        &mut self,
+        m: &mut Mem,
+        array: ArrayRef,
+        idx: Slot,
+        val: Slot,
+        mask: Mask,
+    ) -> Result<(), SimFault> {
+        let ik = m.ik;
+        let at = self.index(idx, mask, ik)?;
+        let (tv, val) = (self.ty(val, ik)?, self.bits[val as usize]);
+        let mismatch = |space: &str, array: &str, want: Scalar| {
+            let detail = format!(
+                "store type mismatch into {space} {array:?}: array is {want:?}, value is {tv:?}"
+            );
+            Err(ill_typed(ik, at.warp, detail))
+        };
+        match array {
+            ArrayRef::Shared(s) => {
+                let d = &ik.shared[s as usize];
+                if tv != d.ty {
+                    return mismatch("shared", &d.name, d.ty);
+                }
+                let (ok, oob) = at.bounds(ik, (&d.name, d.len as usize), MemSpace::Shared, true)?;
+                let mut addrs: LaneAddrs = [None; LANES];
+                for l in lanes(ok) {
+                    addrs[l] = Some(at.addr(d.byte_offset as u64, l));
+                    m.shared[s as usize][at.idx[l] as usize] = val[l];
+                }
+                oob.map_or(Ok(()), |f| Err(*f))?;
+                m.ctx.race_lanes(ik, ArraySite::Shared(s), &at, true)?;
+                self.builder.shared(&addrs, true);
+            }
+            ArrayRef::Local(s) => {
+                let d = &ik.local[s as usize];
+                if tv != d.ty {
+                    return mismatch("local", &d.name, d.ty);
+                }
+                let (ok, oob) = at.bounds(ik, (&d.name, d.len as usize), MemSpace::Local, true)?;
+                let mut offsets = [None; LANES];
+                for l in lanes(ok) {
+                    offsets[l] = Some(d.byte_offset + at.idx[l] * 4);
+                    self.local[s as usize][at.idx[l] as usize * LANES + l] = val[l];
+                }
+                oob.map_or(Ok(()), |f| Err(*f))?;
+                if d.in_registers {
+                    self.builder.alu(1);
+                } else {
+                    self.builder.local(m.layout, at.warp, &offsets, true);
+                }
+            }
+            ArrayRef::Param(p) => {
+                let (name, pi) = (ik.array_params[p as usize].name.as_str(), p as usize);
+                let binding = m.ctx.mem.binding(pi);
+                if binding.space != MemSpace::Global {
+                    let space = binding.space;
+                    let detail =
+                        format!("stores are only legal to global memory ({name:?} is {space:?})");
+                    let kind = FaultKind::InvalidOperation { detail };
+                    return Err(SimFault::new(&ik.name, kind).at_warp(at.warp));
+                }
+                let (buf_ty, len) = m.ctx.mem.buf_ty_len(pi);
+                if tv != buf_ty {
+                    return mismatch("global", name, buf_ty);
+                }
+                let (ok, oob) = at.bounds(ik, (name, len), MemSpace::Global, true)?;
+                let mut addrs: LaneAddrs = [None; LANES];
+                let step = m.ctx.step;
+                for l in lanes(ok) {
+                    addrs[l] = Some(at.addr(binding.base_addr, l));
+                    m.ctx.mem.store_bits(pi, at.idx[l] as usize, val[l], step);
+                }
+                oob.map_or(Ok(()), |f| Err(*f))?;
+                m.ctx.race_lanes(ik, ArraySite::GlobalParam(p), &at, true)?;
+                self.builder.global(&addrs, 4, true);
+            }
+            ArrayRef::Unknown(u) => return Err(unknown_array(ik, at.warp, u, "store to")),
+        }
+        Ok(())
+    }
+}
+
+/// CUDA `__shfl` family semantics: active lanes read their source lane,
+/// inactive lanes keep their own value.
+fn shfl(mode: ShflMode, width: u32, lane_ty: Scalar, v: &Lanes, arg: &Lanes, mask: Mask) -> Lanes {
+    let wm = width as i64;
+    std::array::from_fn(|l| {
+        if mask & (1 << l) == 0 {
+            return v[l];
+        }
+        let a = if lane_ty == Scalar::I32 { arg[l] as i32 as i64 } else { arg[l] as i64 };
+        let (li, base) = (l as i64, l as i64 / wm * wm);
+        let src = match mode {
+            ShflMode::Idx => base + a.rem_euclid(wm),
+            ShflMode::Up if li - a < base => li,
+            ShflMode::Up => li - a,
+            ShflMode::Down if li + a >= base + wm => li,
+            ShflMode::Down => li + a,
+            ShflMode::Xor if (li ^ a) >= base + wm || (li ^ a) < base => li,
+            ShflMode::Xor => li ^ a,
+        };
+        v[src as usize]
+    })
 }
 
 /// Fold one per-warp boolean into the block-uniform result, faulting on any
@@ -657,821 +804,349 @@ fn fold_uniform(
     wid: u64,
     ik: &InternedKernel,
 ) -> Result<(), SimFault> {
-    if t != 0 && t != mask {
-        return Err(SimFault::new(
+    let divergence = |detail: &str| {
+        SimFault::new(
             &ik.name,
             FaultKind::BarrierDivergence {
-                detail: "barrier under divergent control flow (condition not warp-uniform)"
-                    .to_string(),
+                detail: format!("barrier under divergent control flow ({detail})"),
             },
         )
-        .at_warp(wid));
+        .at_warp(wid)
+    };
+    if t != 0 && t != mask {
+        return Err(divergence("condition not warp-uniform"));
     }
     let this = t == mask && mask != 0;
-    match *result {
-        None => *result = Some(this),
-        Some(prev) => {
-            if prev != this {
-                return Err(SimFault::new(
-                    &ik.name,
-                    FaultKind::BarrierDivergence {
-                        detail:
-                            "barrier under divergent control flow (condition differs across warps)"
-                                .to_string(),
-                    },
-                )
-                .at_warp(wid));
-            }
-        }
+    if *result.get_or_insert(this) != this {
+        return Err(divergence("condition differs across warps"));
     }
     Ok(())
 }
 
-/// Evaluate a condition that must be uniform across the entire block.
-fn eval_uniform_cond(
-    cond: &IExpr,
-    ik: &InternedKernel,
-    warps: &mut [WarpCtx],
-    block: &mut BlockCtx,
-    ctx: &mut LaunchCtx,
-) -> Result<bool, SimFault> {
-    let mut result: Option<bool> = None;
-    for w in warps.iter_mut() {
-        let mask = w.exist_mask;
-        let c = eval(cond, ik, w, block, ctx, mask)?;
-        let wid = w.warp_global_id;
-        let t = c.true_mask(mask).map_err(|e| vfault(ik, wid, e))?;
-        fold_uniform(&mut result, t, mask, wid, ik)?;
-    }
-    Ok(result.unwrap_or(false))
+/// One block worker's interpreter, reused for every block it runs.
+pub(crate) struct Vm<'p> {
+    prog: &'p Program,
+    ik: &'p InternedKernel,
+    dev: &'p DeviceConfig,
+    layout: LocalLayout,
+    warps: Vec<Warp>,
+    shared: Vec<Vec<u32>>,
+    frames: Vec<Frame>,
 }
 
-/// Block-uniform `var < bound` for a lockstep loop, with the register read
-/// inlined (no per-iteration expression-tree construction).
-fn uniform_loop_cond(
-    var: u32,
-    bound: &IExpr,
-    ik: &InternedKernel,
-    warps: &mut [WarpCtx],
-    block: &mut BlockCtx,
-    ctx: &mut LaunchCtx,
-) -> Result<bool, SimFault> {
-    let mut result: Option<bool> = None;
-    for w in warps.iter_mut() {
-        let mask = w.exist_mask;
-        let va = read_reg(w, var, ik)?;
-        let vb = eval(bound, ik, w, block, ctx, mask)?;
-        w.builder.alu(1);
-        let wid = w.warp_global_id;
-        let c = WVal::binary(BinOp::Lt, &va, &vb, mask).map_err(|e| vfault(ik, wid, e))?;
-        let t = c.true_mask(mask).map_err(|e| vfault(ik, wid, e))?;
-        fold_uniform(&mut result, t, mask, wid, ik)?;
-    }
-    Ok(result.unwrap_or(false))
-}
-
-/// Read a register slot, faulting like `Expr::Var` evaluation does.
-fn read_reg(w: &WarpCtx, slot: u32, ik: &InternedKernel) -> Result<WVal, SimFault> {
-    w.regs[slot as usize].clone().ok_or_else(|| {
-        SimFault::new(
-            &ik.name,
-            FaultKind::UndeclaredName { name: ik.reg_names[slot as usize].clone() },
-        )
-        .at_warp(w.warp_global_id)
-        .with_context("use of undeclared scalar")
-    })
-}
-
-fn set_reg(
-    w: &mut WarpCtx,
-    slot: u32,
-    val: WVal,
-    mask: Mask,
-    ik: &InternedKernel,
-) -> Result<(), SimFault> {
-    let wid = w.warp_global_id;
-    match &mut w.regs[slot as usize] {
-        Some(existing) => existing.merge_from(&val, mask).map_err(|e| {
-            vfault(ik, wid, e)
-                .with_context(format!("assignment to {:?}", ik.reg_names[slot as usize]))
-        })?,
-        r @ None => {
-            let mut fresh = WVal::zero(val.ty());
-            // Internal invariant: fresh has val's own type.
-            fresh.merge_from(&val, mask).expect("fresh register matches value type");
-            *r = Some(fresh);
-        }
-    }
-    Ok(())
-}
-
-/// Execute one statement for one warp under `mask`.
-fn exec_stmt_warp(
-    s: &IStmt,
-    ik: &InternedKernel,
-    w: &mut WarpCtx,
-    block: &mut BlockCtx,
-    ctx: &mut LaunchCtx,
-    mask: Mask,
-) -> Result<(), SimFault> {
-    if mask == 0 {
-        return Ok(());
-    }
-    ctx.tick(&ik.name)?;
-    match s {
-        IStmt::DeclScalar { slot, ty, init } => {
-            let val = match init {
-                Some(e) => eval(e, ik, w, block, ctx, mask)?,
-                None => WVal::zero(*ty),
-            };
-            if val.ty() != *ty {
-                return Err(SimFault::new(
-                    &ik.name,
-                    FaultKind::IllTyped {
-                        detail: format!(
-                            "initializer type mismatch for {:?}: declared {ty:?}, got {:?}",
-                            ik.reg_names[*slot as usize],
-                            val.ty()
-                        ),
-                    },
-                )
-                .at_warp(w.warp_global_id));
-            }
-            // A declaration (re-)initializes: overwrite under mask, default
-            // elsewhere if previously absent.
-            set_reg(w, *slot, val, mask, ik)?;
-        }
-        IStmt::DeclArray => { /* pre-created in run_block */ }
-        IStmt::Assign { slot, value } => {
-            let val = eval(value, ik, w, block, ctx, mask)?;
-            set_reg(w, *slot, val, mask, ik)?;
-        }
-        IStmt::Store { array, index, value } => {
-            let idx = eval(index, ik, w, block, ctx, mask)?;
-            let val = eval(value, ik, w, block, ctx, mask)?;
-            store_array(*array, &idx, &val, ik, w, block, ctx, mask)?;
-        }
-        IStmt::If { cond, then_body, else_body, .. } => {
-            let c = eval(cond, ik, w, block, ctx, mask)?;
-            let wid = w.warp_global_id;
-            let t_mask = c.true_mask(mask).map_err(|e| vfault(ik, wid, e))?;
-            let e_mask = mask & !t_mask;
-            // Both sides populated: the warp serializes through each path.
-            let diverged = t_mask != 0 && e_mask != 0;
-            if diverged {
-                w.builder.divergence_event();
-                w.builder.enter_divergent();
-            }
-            // A fault unwinds past the exit_divergent below; that's fine —
-            // the faulted launch discards its builder and counters.
-            if t_mask != 0 {
-                for st in then_body {
-                    exec_stmt_warp(st, ik, w, block, ctx, t_mask)?;
+impl<'p> Vm<'p> {
+    pub fn new(
+        prog: &'p Program,
+        ik: &'p InternedKernel,
+        dev: &'p DeviceConfig,
+        local_bytes_per_thread: u32,
+    ) -> Self {
+        let dim = ik.block_dim;
+        let n_threads = dim.count() as usize;
+        let specials = prog.n_regs;
+        let consts = specials + SPECIALS;
+        let warps = (0..n_threads.div_ceil(LANES))
+            .map(|w| {
+                let mut bits = vec![[0; LANES]; prog.n_slots];
+                let mut tags = vec![None; prog.n_slots];
+                let live = (n_threads - w * LANES).min(LANES);
+                let tid = |f: &dyn Fn(u32) -> u32| -> Lanes {
+                    std::array::from_fn(|l| if l < live { f((w * LANES + l) as u32) } else { 0 })
+                };
+                bits[specials + TID] = tid(&|t| t % dim.x);
+                bits[specials + TID + 1] = tid(&|t| (t / dim.x) % dim.y);
+                bits[specials + TID + 2] = tid(&|t| t / (dim.x * dim.y));
+                tags[specials..consts].fill(Some(Scalar::I32));
+                for (i, &(ty, v)) in prog.consts.iter().enumerate() {
+                    bits[consts + i] = [v; LANES];
+                    tags[consts + i] = Some(ty);
                 }
-            }
-            if e_mask != 0 {
-                for st in else_body {
-                    exec_stmt_warp(st, ik, w, block, ctx, e_mask)?;
+                Warp {
+                    bits,
+                    tags,
+                    local: ik.local.iter().map(|d| vec![0; d.len as usize * LANES]).collect(),
+                    exist: if live == LANES { FULL_MASK } else { (1 << live) - 1 },
+                    gid: 0,
+                    base: (w * LANES) as u32,
+                    builder: TraceBuilder::new(dev.txn_bytes, dev.l1_line),
                 }
-            }
-            if diverged {
-                w.builder.exit_divergent();
-            }
-        }
-        IStmt::For { var, init, bound, step, body, .. } => {
-            let v0 = eval(init, ik, w, block, ctx, mask)?;
-            set_reg(w, *var, v0, mask, ik)?;
-            let mut active = mask;
-            // Lanes exit a warp-level loop independently; once the live set
-            // shrinks below the entry mask the remaining iterations run
-            // divergent (the mask only ever shrinks, so enter once).
-            let mut partial = false;
-            loop {
-                ctx.tick(&ik.name)?;
-                // Inlined `var < bound` under the live mask; emission order
-                // matches the old expression-tree evaluation exactly.
-                let va = read_reg(w, *var, ik)?;
-                let vb = eval(bound, ik, w, block, ctx, active)?;
-                w.builder.alu(1);
-                let wid = w.warp_global_id;
-                let c =
-                    WVal::binary(BinOp::Lt, &va, &vb, active).map_err(|e| vfault(ik, wid, e))?;
-                active = c.true_mask(active).map_err(|e| vfault(ik, wid, e))?;
-                if active == 0 {
-                    break;
-                }
-                if !partial && active != mask {
-                    partial = true;
-                    w.builder.divergence_event();
-                    w.builder.enter_divergent();
-                }
-                for st in body {
-                    exec_stmt_warp(st, ik, w, block, ctx, active)?;
-                }
-                let va = read_reg(w, *var, ik)?;
-                let vs = eval(step, ik, w, block, ctx, active)?;
-                w.builder.alu(1);
-                let stepped =
-                    WVal::binary(BinOp::Add, &va, &vs, active).map_err(|e| vfault(ik, wid, e))?;
-                set_reg(w, *var, stepped, active, ik)?;
-            }
-            if partial {
-                w.builder.exit_divergent();
-            }
-        }
-        IStmt::SyncThreads => {
-            // Internal invariant: exec_block_level routes every
-            // barrier-containing statement away from the warp path.
-            unreachable!("barrier must be handled at block level")
-        }
-    }
-    Ok(())
-}
-
-/// Evaluate an expression for one warp under `mask`, emitting trace ops.
-fn eval(
-    e: &IExpr,
-    ik: &InternedKernel,
-    w: &mut WarpCtx,
-    block: &mut BlockCtx,
-    ctx: &mut LaunchCtx,
-    mask: Mask,
-) -> Result<WVal, SimFault> {
-    let out = match e {
-        IExpr::ImmF32(x) => WVal::splat_f32(*x),
-        IExpr::ImmI32(x) => WVal::splat_i32(*x),
-        IExpr::ImmU32(x) => WVal::splat_u32(*x),
-        IExpr::ImmBool(x) => WVal::splat_bool(*x),
-        IExpr::Var(slot) => read_reg(w, *slot, ik)?,
-        IExpr::Param(p) => match p {
-            ParamRef::Scalar(s) => match ctx.mem.scalar(*s as usize) {
-                ArgValue::F32(x) => WVal::splat_f32(*x),
-                ArgValue::I32(x) => WVal::splat_i32(*x),
-                ArgValue::U32(x) => WVal::splat_u32(*x),
-                // Internal invariant: bind() stores only scalar values in
-                // scalar slots.
-                ArgValue::Buf(_) => unreachable!("scalar slot holds a buffer"),
+            })
+            .collect();
+        Vm {
+            prog,
+            ik,
+            dev,
+            layout: LocalLayout {
+                bytes_per_thread: local_bytes_per_thread.max(ik.local_decl_bytes).max(1),
             },
-            ParamRef::Unknown(u) => {
-                return Err(SimFault::new(
-                    &ik.name,
-                    FaultKind::UndeclaredName { name: ik.unknown_names[*u as usize].clone() },
-                )
-                .at_warp(w.warp_global_id)
-                .with_context("parameter is not a bound scalar"))
-            }
-        },
-        IExpr::Special(s) => match s {
-            Special::ThreadIdxX => w.tid[0].clone(),
-            Special::ThreadIdxY => w.tid[1].clone(),
-            Special::ThreadIdxZ => w.tid[2].clone(),
-            Special::BlockIdxX => WVal::splat_i32(block.block_idx.0 as i32),
-            Special::BlockIdxY => WVal::splat_i32(block.block_idx.1 as i32),
-            Special::BlockDimX => WVal::splat_i32(block.block_dim.x as i32),
-            Special::BlockDimY => WVal::splat_i32(block.block_dim.y as i32),
-            Special::BlockDimZ => WVal::splat_i32(block.block_dim.z as i32),
-            Special::GridDimX => WVal::splat_i32(block.grid_dim.x as i32),
-            Special::GridDimY => WVal::splat_i32(block.grid_dim.y as i32),
-        },
-        IExpr::Unary(op, a) => {
-            let va = eval(a, ik, w, block, ctx, mask)?;
-            if op.is_sfu() {
-                w.builder.sfu(1);
-            } else {
-                w.builder.alu(1);
-            }
-            let wid = w.warp_global_id;
-            WVal::unary(*op, &va, mask).map_err(|e| vfault(ik, wid, e))?
+            warps,
+            shared: ik.shared.iter().map(|d| vec![0; d.len as usize]).collect(),
+            frames: Vec::new(),
         }
-        IExpr::Binary(op, a, b) => {
-            let va = eval(a, ik, w, block, ctx, mask)?;
-            let vb = eval(b, ik, w, block, ctx, mask)?;
-            w.builder.alu(1);
-            let wid = w.warp_global_id;
-            WVal::binary(*op, &va, &vb, mask).map_err(|e| vfault(ik, wid, e))?
-        }
-        IExpr::Select(c, a, b) => {
-            let vc = eval(c, ik, w, block, ctx, mask)?;
-            let va = eval(a, ik, w, block, ctx, mask)?;
-            let vb = eval(b, ik, w, block, ctx, mask)?;
-            w.builder.alu(1);
-            let wid = w.warp_global_id;
-            let tm = vc.true_mask(mask).map_err(|e| vfault(ik, wid, e))?;
-            let mut out = vb;
-            out.merge_from(&va, tm)
-                .map_err(|e| vfault(ik, wid, e).with_context("select arms"))?;
-            out
-        }
-        IExpr::Cast(ty, a) => {
-            let va = eval(a, ik, w, block, ctx, mask)?;
-            w.builder.alu(1);
-            va.cast(*ty, mask)
-        }
-        IExpr::Load { array, index } => {
-            let idx = eval(index, ik, w, block, ctx, mask)?;
-            load_array(*array, &idx, ik, w, block, ctx, mask)?
-        }
-        IExpr::Shfl { mode, value, lane, width } => {
-            let vv = eval(value, ik, w, block, ctx, mask)?;
-            let vl = eval(lane, ik, w, block, ctx, mask)?;
-            w.builder.shfl(match mode {
-                ShflMode::Idx => ShflKind::Broadcast,
-                ShflMode::Xor => ShflKind::Xor,
-                ShflMode::Up => ShflKind::Up,
-                ShflMode::Down => ShflKind::Down,
-            });
-            let wid = w.warp_global_id;
-            shfl_permute(*mode, &vv, &vl, *width, mask, &ik.name).map_err(|f| f.at_warp(wid))?
-        }
-    };
-    Ok(out)
-}
-
-/// CUDA `__shfl` family semantics over a warp-wide value.
-fn shfl_permute(
-    mode: ShflMode,
-    value: &WVal,
-    lane_arg: &WVal,
-    width: u32,
-    mask: Mask,
-    kernel_name: &str,
-) -> Result<WVal, SimFault> {
-    if !(width.is_power_of_two() && width >= 1 && width as usize <= LANES) {
-        return Err(SimFault::new(
-            kernel_name,
-            FaultKind::InvalidOperation {
-                detail: format!("__shfl width must be a power of two in [1, 32], got {width}"),
-            },
-        ));
     }
-    let wm = width as i64;
-    let mut out = value.clone();
-    let mut src = [0usize; LANES];
-    for (l, s) in src.iter_mut().enumerate() {
-        let arg = lane_arg.lane_index(l).ok_or_else(|| {
-            SimFault::new(
-                kernel_name,
-                FaultKind::IllTyped {
-                    detail: format!(
-                        "__shfl lane argument must be an integer, found {:?}",
-                        lane_arg.ty()
-                    ),
+
+    /// Execute one thread block functionally; returns its timing trace, or
+    /// the first fault the sanitizer detected.
+    pub fn run_block(
+        &mut self,
+        ctx: &mut LaunchCtx,
+        block_idx: (u32, u32),
+        grid_dim: Dim3,
+        first_warp_global_id: u64,
+    ) -> Result<BlockTrace, SimFault> {
+        let ik = self.ik;
+        // An invalid declaration space faults before anything executes.
+        if let Some((name, other)) = &ik.bad_decl {
+            return Err(SimFault::new(
+                &ik.name,
+                FaultKind::InvalidOperation {
+                    detail: format!("cannot declare array {name:?} in {other:?} space"),
                 },
-            )
-            .at_lane(l)
-        })?;
-        let base = (l as i64 / wm) * wm;
-        *s = match mode {
-            ShflMode::Idx => (base + arg.rem_euclid(wm)) as usize,
-            ShflMode::Up => {
-                let x = l as i64 - arg;
-                if x < base {
-                    l
-                } else {
-                    x as usize
+            ));
+        }
+        self.shared.iter_mut().for_each(|a| a.fill(0));
+        self.frames.clear();
+        let (n_regs, dev) = (self.prog.n_regs, self.dev);
+        for (w, warp) in self.warps.iter_mut().enumerate() {
+            warp.tags[..n_regs].fill(None);
+            warp.local.iter_mut().for_each(|a| a.fill(0));
+            warp.gid = first_warp_global_id + w as u64;
+            warp.bits[n_regs + BLOCK_IDX] = [block_idx.0; LANES];
+            warp.bits[n_regs + BLOCK_IDX + 1] = [block_idx.1; LANES];
+            warp.builder = TraceBuilder::new(dev.txn_bytes, dev.l1_line);
+        }
+        let block_linear = block_idx.1 as u64 * grid_dim.x as u64 + block_idx.0 as u64;
+        ctx.race_begin_block(block_linear, ik.block_dim.count() as u32);
+        let mut bp = 0;
+        while let Some(&op) = self.prog.block.get(bp) {
+            bp += 1;
+            match op {
+                BlockOp::Warps { start, end } => {
+                    for w in 0..self.warps.len() {
+                        self.run_warp(w, start, end, ctx)?;
+                    }
                 }
-            }
-            ShflMode::Down => {
-                let x = l as i64 + arg;
-                if x >= base + wm {
-                    l
-                } else {
-                    x as usize
+                BlockOp::Sync => {
+                    ctx.tick(&ik.name)?;
+                    ctx.race_barrier_all();
+                    self.warps.iter_mut().for_each(|w| w.builder.bar());
                 }
-            }
-            ShflMode::Xor => {
-                let x = l as i64 ^ arg;
-                if x >= base + wm || x < base {
-                    l
-                } else {
-                    x as usize
+                BlockOp::Cond { start, end, cond, else_at } => {
+                    ctx.tick(&ik.name)?;
+                    let mut result = None;
+                    for w in 0..self.warps.len() {
+                        self.run_warp(w, start, end, ctx)?;
+                        let warp = &self.warps[w];
+                        let ty = warp.ty(cond, ik)?;
+                        let t = value::true_mask(ty, &warp.bits[cond as usize], warp.exist)
+                            .map_err(|e| vfault(ik, warp.gid, e))?;
+                        fold_uniform(&mut result, t, warp.exist, warp.gid, ik)?;
+                    }
+                    if !result.unwrap_or(false) {
+                        bp = else_at as usize;
+                    }
                 }
+                BlockOp::Jump { to } => bp = to as usize,
             }
-        };
+        }
+        ctx.race_end_block();
+        let fresh = || TraceBuilder::new(dev.txn_bytes, dev.l1_line);
+        let warps = self.warps.iter_mut();
+        Ok(BlockTrace {
+            warps: warps.map(|w| std::mem::replace(&mut w.builder, fresh()).finish()).collect(),
+        })
     }
-    let bits: [u32; LANES] = std::array::from_fn(|l| value.lane_bits(src[l]));
-    let permuted = WVal::from_bits(value.ty(), bits);
-    // Internal invariant: permuted has value's own type.
-    out.merge_from(&permuted, mask).expect("shfl preserves the value type");
-    Ok(out)
-}
 
-/// The lane's index value as an integer, or an `IllTyped` fault.
-fn lane_index(
-    idx: &WVal,
-    lane: usize,
-    array: &str,
-    kernel_name: &str,
-) -> Result<i64, SimFault> {
-    idx.lane_index(lane).ok_or_else(|| {
-        SimFault::new(
-            kernel_name,
-            FaultKind::IllTyped {
-                detail: format!("index into {array:?} must be an integer, found {:?}", idx.ty()),
-            },
-        )
-        .at_lane(lane)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_index(
-    array: &str,
-    idx: i64,
-    len: usize,
-    space: MemSpace,
-    write: bool,
-    kernel_name: &str,
-    lane: usize,
-) -> Result<usize, SimFault> {
-    if idx >= 0 && (idx as usize) < len {
-        Ok(idx as usize)
-    } else {
-        Err(SimFault::new(
-            kernel_name,
-            FaultKind::OutOfBounds { space, array: array.to_string(), index: idx, len, write },
-        )
-        .at_lane(lane))
+    /// Run warp `w` over `ops[start..end]`, one statement of the block's
+    /// code, starting with every existing lane active.
+    fn run_warp(
+        &mut self,
+        w: usize,
+        start: u32,
+        end: u32,
+        ctx: &mut LaunchCtx,
+    ) -> Result<(), SimFault> {
+        let Vm { prog, ik, warps, shared, frames, layout, .. } = self;
+        let (ops, ik) = (&prog.ops[..end as usize], *ik);
+        let warp = &mut warps[w];
+        let mut m = Mem { ik, ctx, shared, layout: *layout };
+        let mut mask = warp.exist;
+        let mut pc = start as usize;
+        while let Some(&op) = ops.get(pc) {
+            pc += 1;
+            let wid = warp.gid;
+            match op {
+                Op::Tick => m.ctx.tick(&ik.name)?,
+                Op::CheckReg { reg } => {
+                    warp.ty(reg, ik)?;
+                }
+                Op::UnknownParam { name } => {
+                    return Err(SimFault::new(
+                        &ik.name,
+                        FaultKind::UndeclaredName { name: ik.unknown_names[name as usize].clone() },
+                    )
+                    .at_warp(wid)
+                    .with_context("parameter is not a bound scalar"))
+                }
+                Op::Unary { op, dst, a } => {
+                    if op.is_sfu() {
+                        warp.builder.sfu(1);
+                    } else {
+                        warp.builder.alu(1);
+                    }
+                    let ty = warp.ty(a, ik)?;
+                    let mut r = [0; LANES];
+                    value::unary(op, ty, &warp.bits[a as usize], mask, &mut r)
+                        .map_err(|e| vfault(ik, wid, e))?;
+                    warp.put(dst, ty, r);
+                }
+                Op::Binary { op, dst, a, b } => {
+                    warp.builder.alu(1);
+                    let a = (warp.ty(a, ik)?, &warp.bits[a as usize]);
+                    let b = (warp.ty(b, ik)?, &warp.bits[b as usize]);
+                    let mut r = [0; LANES];
+                    let ty =
+                        value::binary(op, a, b, mask, &mut r).map_err(|e| vfault(ik, wid, e))?;
+                    warp.put(dst, ty, r);
+                }
+                Op::Select { dst, c, a, b } => {
+                    warp.builder.alu(1);
+                    let (tc, ta, tb) = (warp.ty(c, ik)?, warp.ty(a, ik)?, warp.ty(b, ik)?);
+                    let t = value::true_mask(tc, &warp.bits[c as usize], mask)
+                        .map_err(|e| vfault(ik, wid, e))?;
+                    if ta != tb {
+                        let detail = format!("type mismatch in assignment: {tb:?} = {ta:?}");
+                        return Err(ill_typed(ik, wid, detail).with_context("select arms"));
+                    }
+                    let r = blend(t, &warp.bits[a as usize], &warp.bits[b as usize]);
+                    warp.put(dst, ta, r);
+                }
+                Op::Cast { ty, dst, a } => {
+                    warp.builder.alu(1);
+                    let from = warp.ty(a, ik)?;
+                    let r = value::cast(from, &warp.bits[a as usize], ty, mask);
+                    warp.put(dst, ty, r);
+                }
+                Op::Shfl { mode, width, dst, value, lane } => {
+                    warp.builder.shfl(match mode {
+                        ShflMode::Idx => ShflKind::Broadcast,
+                        ShflMode::Xor => ShflKind::Xor,
+                        ShflMode::Up => ShflKind::Up,
+                        ShflMode::Down => ShflKind::Down,
+                    });
+                    let (tv, tl) = (warp.ty(value, ik)?, warp.ty(lane, ik)?);
+                    if !(width.is_power_of_two() && width as usize <= LANES) {
+                        let detail =
+                            format!("__shfl width must be a power of two in [1, 32], got {width}");
+                        return Err(SimFault::new(
+                            &ik.name,
+                            FaultKind::InvalidOperation { detail },
+                        )
+                        .at_warp(wid));
+                    }
+                    if !matches!(tl, Scalar::I32 | Scalar::U32) {
+                        let detail =
+                            format!("__shfl lane argument must be an integer, found {tl:?}");
+                        return Err(ill_typed(ik, wid, detail).at_lane(0));
+                    }
+                    let r = shfl(
+                        mode,
+                        width,
+                        tl,
+                        &warp.bits[value as usize],
+                        &warp.bits[lane as usize],
+                        mask,
+                    );
+                    warp.put(dst, tv, r);
+                }
+                Op::Load { array, dst, idx } => {
+                    let mut r = [0; LANES];
+                    let ty = warp.load(&mut m, array, idx, mask, &mut r)?;
+                    warp.put(dst, ty, r);
+                }
+                Op::Store { array, idx, value } => warp.store(&mut m, array, idx, value, mask)?,
+                Op::Decl { reg, ty, src } => {
+                    let got = warp.ty(src, ik)?;
+                    if got != ty {
+                        let name = &ik.reg_names[reg as usize];
+                        let detail = format!(
+                            "initializer type mismatch for {name:?}: declared {ty:?}, got {got:?}"
+                        );
+                        return Err(ill_typed(ik, wid, detail));
+                    }
+                    warp.assign(reg, src, mask, ik)?;
+                }
+                Op::Assign { reg, src } => warp.assign(reg, src, mask, ik)?,
+                Op::If { cond, else_pc } => {
+                    let t = value::true_mask(warp.ty(cond, ik)?, &warp.bits[cond as usize], mask)
+                        .map_err(|e| vfault(ik, wid, e))?;
+                    let e = mask & !t;
+                    // Both sides populated: the warp serializes through
+                    // each path.
+                    let diverged = t != 0 && e != 0;
+                    if diverged {
+                        warp.builder.divergence_event();
+                        warp.builder.enter_divergent();
+                    }
+                    frames.push(Frame { saved: mask, other: e, flag: diverged });
+                    if t != 0 {
+                        mask = t;
+                    } else {
+                        mask = e;
+                        pc = else_pc as usize;
+                    }
+                }
+                Op::Else { end_pc } => {
+                    let other = frames.last().expect("open if").other;
+                    if other != 0 {
+                        mask = other;
+                    } else {
+                        pc = end_pc as usize;
+                    }
+                }
+                Op::EndIf | Op::EndLoop => {
+                    let f = frames.pop().expect("open if or loop");
+                    if f.flag {
+                        warp.builder.exit_divergent();
+                    }
+                    mask = f.saved;
+                }
+                Op::Loop => frames.push(Frame { saved: mask, other: 0, flag: false }),
+                Op::LoopTest { var, bound, exit_pc } => {
+                    warp.builder.alu(1);
+                    let a = (warp.ty(var, ik)?, &warp.bits[var as usize]);
+                    let b = (warp.ty(bound, ik)?, &warp.bits[bound as usize]);
+                    let mut c = [0; LANES];
+                    value::binary(BinOp::Lt, a, b, mask, &mut c).map_err(|e| vfault(ik, wid, e))?;
+                    let active = bool_mask(&c, mask);
+                    if active == 0 {
+                        pc = exit_pc as usize;
+                        continue;
+                    }
+                    // Lanes exit independently; once the live set shrinks
+                    // below the entry mask the remaining iterations run
+                    // divergent (the mask only shrinks, so enter once).
+                    let f = frames.last_mut().expect("open loop");
+                    if !f.flag && active != f.saved {
+                        f.flag = true;
+                        warp.builder.divergence_event();
+                        warp.builder.enter_divergent();
+                    }
+                    mask = active;
+                }
+                Op::LoopStep { var, step, head_pc } => {
+                    warp.builder.alu(1);
+                    let a = (warp.ty(var, ik)?, &warp.bits[var as usize]);
+                    let b = (warp.ty(step, ik)?, &warp.bits[step as usize]);
+                    let mut r = [0; LANES];
+                    let ty = value::binary(BinOp::Add, a, b, mask, &mut r)
+                        .map_err(|e| vfault(ik, wid, e))?;
+                    let v = blend(mask, &r, &warp.bits[var as usize]);
+                    warp.put(var, ty, v);
+                    pc = head_pc as usize;
+                }
+            }
+        }
+        Ok(())
     }
-}
-
-
-#[allow(clippy::too_many_arguments)]
-fn load_array(
-    aref: ArrayRef,
-    idx: &WVal,
-    ik: &InternedKernel,
-    w: &mut WarpCtx,
-    block: &mut BlockCtx,
-    ctx: &mut LaunchCtx,
-    mask: Mask,
-) -> Result<WVal, SimFault> {
-    let wid = w.warp_global_id;
-    match aref {
-        ArrayRef::Shared(si) => {
-            let si = si as usize;
-            let name = ik.shared[si].name.as_str();
-            let mut addrs: LaneAddrs = [None; LANES];
-            let mut bits = [0u32; LANES];
-            let mut touched = [(0usize, 0usize); LANES];
-            let mut ntouched = 0usize;
-            let inj = ctx.injector.is_some();
-            let arr = &block.shared[si];
-            let ty = arr.ty;
-            let arr_len = arr.len as usize;
-            let byte_offset = arr.byte_offset;
-            for l in lanes(mask) {
-                let li = lane_index(idx, l, name, &ik.name).map_err(|f| f.at_warp(wid))?;
-                let i = check_index(name, li, arr_len, MemSpace::Shared, false, &ik.name, l)
-                    .map_err(|f| f.at_warp(wid))?;
-                let addr = byte_offset as u64 + i as u64 * 4;
-                addrs[l] = Some(addr);
-                bits[l] = arr.bits[i];
-                if inj {
-                    match ctx.inject(InjectSpace::Shared, addr) {
-                        Some(Injection::BitFlip(b)) => bits[l] ^= 1 << b,
-                        Some(Injection::Fault) => {
-                            return Err(SimFault::new(
-                                &ik.name,
-                                FaultKind::Injected { space: InjectSpace::Shared, addr },
-                            )
-                            .at_warp(wid)
-                            .at_lane(l)
-                            .with_context(format!("load {name}[{li}]")))
-                        }
-                        None => {}
-                    }
-                }
-                touched[ntouched] = (l, i);
-                ntouched += 1;
-            }
-            if ctx.race_armed() {
-                let warp_base = w.warp_in_block * LANES as u32;
-                for &(l, i) in &touched[..ntouched] {
-                    ctx.race_access(
-                        ik,
-                        ArraySite::Shared(si as u32),
-                        i as u32,
-                        warp_base + l as u32,
-                        false,
-                        wid,
-                    )?;
-                }
-            }
-            w.builder.shared(&addrs, false);
-            Ok(WVal::from_bits(ty, bits))
-        }
-        ArrayRef::Local(li_slot) => {
-            let arr = &w.local[li_slot as usize];
-            let name = ik.local[li_slot as usize].name.as_str();
-            let mut offsets = [None; LANES];
-            let mut bits = [0u32; LANES];
-            let ty = arr.ty;
-            let in_regs = arr.in_registers;
-            let arr_len = arr.len as usize;
-            let byte_offset = arr.byte_offset;
-            let inj = ctx.injector.is_some();
-            for l in lanes(mask) {
-                let li = lane_index(idx, l, name, &ik.name).map_err(|f| f.at_warp(wid))?;
-                let i = check_index(name, li, arr_len, MemSpace::Local, false, &ik.name, l)
-                    .map_err(|f| f.at_warp(wid))?;
-                let off = byte_offset + i as u32 * 4;
-                offsets[l] = Some(off);
-                bits[l] = arr.bits[i * LANES + l];
-                // Register-file arrays are not memory: the injector skips
-                // them.
-                if inj && !in_regs {
-                    match ctx.inject(InjectSpace::Local, off as u64) {
-                        Some(Injection::BitFlip(b)) => bits[l] ^= 1 << b,
-                        Some(Injection::Fault) => {
-                            return Err(SimFault::new(
-                                &ik.name,
-                                FaultKind::Injected {
-                                    space: InjectSpace::Local,
-                                    addr: off as u64,
-                                },
-                            )
-                            .at_warp(wid)
-                            .at_lane(l)
-                            .with_context(format!("load {name}[{li}]")))
-                        }
-                        None => {}
-                    }
-                }
-            }
-            if in_regs {
-                w.builder.alu(1);
-            } else {
-                let layout = block.local_layout;
-                w.builder.local(layout, wid, &offsets, false);
-            }
-            Ok(WVal::from_bits(ty, bits))
-        }
-        ArrayRef::Param(ai) => {
-            let ai = ai as usize;
-            let name = ik.array_params[ai].name.as_str();
-            let binding = ctx.mem.binding(ai);
-            let (ty, buf_len) = ctx.mem.buf_ty_len(ai);
-            let mut addrs: LaneAddrs = [None; LANES];
-            let mut bits = [0u32; LANES];
-            let mut loaded = [(0usize, 0i64, 0u64); LANES];
-            let mut nloaded = 0usize;
-            // Hoist the memory-view dispatch out of the lane loop: on the
-            // sequential (Direct) path every lane reads one borrowed buffer;
-            // the journaling path keeps its per-lane bookkeeping.
-            match &mut ctx.mem {
-                GlobalMem::Direct(g) => {
-                    let buf = &g.buffers[ai];
-                    for l in lanes(mask) {
-                        let li =
-                            lane_index(idx, l, name, &ik.name).map_err(|f| f.at_warp(wid))?;
-                        let i =
-                            check_index(name, li, buf_len, binding.space, false, &ik.name, l)
-                                .map_err(|f| f.at_warp(wid))?;
-                        let addr = binding.base_addr + i as u64 * 4;
-                        addrs[l] = Some(addr);
-                        bits[l] = buf.read_bits(i);
-                        loaded[nloaded] = (l, li, addr);
-                        nloaded += 1;
-                    }
-                }
-                mem @ GlobalMem::Logged(_) => {
-                    for l in lanes(mask) {
-                        let li =
-                            lane_index(idx, l, name, &ik.name).map_err(|f| f.at_warp(wid))?;
-                        let i =
-                            check_index(name, li, buf_len, binding.space, false, &ik.name, l)
-                                .map_err(|f| f.at_warp(wid))?;
-                        let addr = binding.base_addr + i as u64 * 4;
-                        addrs[l] = Some(addr);
-                        bits[l] = mem.load_bits(ai, i);
-                        loaded[nloaded] = (l, li, addr);
-                        nloaded += 1;
-                    }
-                }
-            }
-            if ctx.race_armed() && binding.space == MemSpace::Global {
-                let warp_base = w.warp_in_block * LANES as u32;
-                for &(l, li, _) in &loaded[..nloaded] {
-                    ctx.race_access(
-                        ik,
-                        ArraySite::GlobalParam(ai as u32),
-                        li as u32,
-                        warp_base + l as u32,
-                        false,
-                        wid,
-                    )?;
-                }
-            }
-            if ctx.injector.is_some() {
-                for &(l, li, addr) in &loaded[..nloaded] {
-                    match ctx.inject(InjectSpace::Global, addr) {
-                        Some(Injection::BitFlip(b)) => bits[l] ^= 1 << b,
-                        Some(Injection::Fault) => {
-                            return Err(SimFault::new(
-                                &ik.name,
-                                FaultKind::Injected { space: InjectSpace::Global, addr },
-                            )
-                            .at_warp(wid)
-                            .at_lane(l)
-                            .with_context(format!("load {name}[{li}]")))
-                        }
-                        None => {}
-                    }
-                }
-            }
-            match binding.space {
-                MemSpace::Global => w.builder.global(&addrs, 4, false),
-                MemSpace::Texture => w.builder.tex(&addrs),
-                MemSpace::Constant => w.builder.constant(&addrs),
-                // Internal invariant: bind() only creates these three
-                // spaces.
-                _ => unreachable!(),
-            }
-            Ok(WVal::from_bits(ty, bits))
-        }
-        ArrayRef::Unknown(u) => Err(SimFault::new(
-            &ik.name,
-            FaultKind::UndeclaredName { name: ik.unknown_names[u as usize].clone() },
-        )
-        .at_warp(wid)
-        .with_context("load from unknown array")),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn store_array(
-    aref: ArrayRef,
-    idx: &WVal,
-    val: &WVal,
-    ik: &InternedKernel,
-    w: &mut WarpCtx,
-    block: &mut BlockCtx,
-    ctx: &mut LaunchCtx,
-    mask: Mask,
-) -> Result<(), SimFault> {
-    let wid = w.warp_global_id;
-    match aref {
-        ArrayRef::Shared(si) => {
-            let si = si as usize;
-            let name = ik.shared[si].name.as_str();
-            let arr = &mut block.shared[si];
-            if val.ty() != arr.ty {
-                return Err(
-                    ill_typed_store(&ik.name, "shared", name, arr.ty, val.ty()).at_warp(wid)
-                );
-            }
-            let mut addrs: LaneAddrs = [None; LANES];
-            let mut touched = [(0usize, 0usize); LANES];
-            let mut ntouched = 0usize;
-            let arr_len = arr.len as usize;
-            for l in lanes(mask) {
-                let li = lane_index(idx, l, name, &ik.name).map_err(|f| f.at_warp(wid))?;
-                let i = check_index(name, li, arr_len, MemSpace::Shared, true, &ik.name, l)
-                    .map_err(|f| f.at_warp(wid))?;
-                addrs[l] = Some(arr.byte_offset as u64 + i as u64 * 4);
-                arr.bits[i] = val.lane_bits(l);
-                touched[ntouched] = (l, i);
-                ntouched += 1;
-            }
-            if ctx.race_armed() {
-                let warp_base = w.warp_in_block * LANES as u32;
-                for &(l, i) in &touched[..ntouched] {
-                    ctx.race_access(
-                        ik,
-                        ArraySite::Shared(si as u32),
-                        i as u32,
-                        warp_base + l as u32,
-                        true,
-                        wid,
-                    )?;
-                }
-            }
-            w.builder.shared(&addrs, true);
-            Ok(())
-        }
-        ArrayRef::Local(li_slot) => {
-            let arr = &mut w.local[li_slot as usize];
-            let name = ik.local[li_slot as usize].name.as_str();
-            if val.ty() != arr.ty {
-                return Err(
-                    ill_typed_store(&ik.name, "local", name, arr.ty, val.ty()).at_warp(wid)
-                );
-            }
-            let mut offsets = [None; LANES];
-            let arr_len = arr.len as usize;
-            for l in lanes(mask) {
-                let li = lane_index(idx, l, name, &ik.name).map_err(|f| f.at_warp(wid))?;
-                let i = check_index(name, li, arr_len, MemSpace::Local, true, &ik.name, l)
-                    .map_err(|f| f.at_warp(wid))?;
-                offsets[l] = Some(arr.byte_offset + i as u32 * 4);
-                arr.bits[i * LANES + l] = val.lane_bits(l);
-            }
-            let in_regs = arr.in_registers;
-            if in_regs {
-                w.builder.alu(1);
-            } else {
-                let layout = block.local_layout;
-                w.builder.local(layout, wid, &offsets, true);
-            }
-            Ok(())
-        }
-        ArrayRef::Param(ai) => {
-            let ai = ai as usize;
-            let name = ik.array_params[ai].name.as_str();
-            let binding = ctx.mem.binding(ai);
-            if binding.space != MemSpace::Global {
-                return Err(SimFault::new(
-                    &ik.name,
-                    FaultKind::InvalidOperation {
-                        detail: format!(
-                            "stores are only legal to global memory ({name:?} is {:?})",
-                            binding.space
-                        ),
-                    },
-                )
-                .at_warp(wid));
-            }
-            let (buf_ty, buf_len) = ctx.mem.buf_ty_len(ai);
-            if val.ty() != buf_ty {
-                return Err(
-                    ill_typed_store(&ik.name, "global", name, buf_ty, val.ty()).at_warp(wid)
-                );
-            }
-            let mut addrs: LaneAddrs = [None; LANES];
-            let mut stored = [(0usize, 0usize); LANES];
-            let mut nstored = 0usize;
-            // Same dispatch hoist as the load path: Direct writes go
-            // straight to one borrowed buffer, journaled writes keep their
-            // per-lane step stamps.
-            let step = ctx.step;
-            match &mut ctx.mem {
-                GlobalMem::Direct(g) => {
-                    let buf = &mut g.buffers[ai];
-                    for l in lanes(mask) {
-                        let li =
-                            lane_index(idx, l, name, &ik.name).map_err(|f| f.at_warp(wid))?;
-                        let i =
-                            check_index(name, li, buf_len, MemSpace::Global, true, &ik.name, l)
-                                .map_err(|f| f.at_warp(wid))?;
-                        addrs[l] = Some(binding.base_addr + i as u64 * 4);
-                        buf.write_bits(i, val.lane_bits(l));
-                        stored[nstored] = (l, i);
-                        nstored += 1;
-                    }
-                }
-                mem @ GlobalMem::Logged(_) => {
-                    for l in lanes(mask) {
-                        let li =
-                            lane_index(idx, l, name, &ik.name).map_err(|f| f.at_warp(wid))?;
-                        let i =
-                            check_index(name, li, buf_len, MemSpace::Global, true, &ik.name, l)
-                                .map_err(|f| f.at_warp(wid))?;
-                        addrs[l] = Some(binding.base_addr + i as u64 * 4);
-                        mem.store_bits(ai, i, val.lane_bits(l), step);
-                        stored[nstored] = (l, i);
-                        nstored += 1;
-                    }
-                }
-            }
-            if ctx.race_armed() {
-                let warp_base = w.warp_in_block * LANES as u32;
-                for &(l, i) in &stored[..nstored] {
-                    ctx.race_access(
-                        ik,
-                        ArraySite::GlobalParam(ai as u32),
-                        i as u32,
-                        warp_base + l as u32,
-                        true,
-                        wid,
-                    )?;
-                }
-            }
-            w.builder.global(&addrs, 4, true);
-            Ok(())
-        }
-        ArrayRef::Unknown(u) => Err(SimFault::new(
-            &ik.name,
-            FaultKind::UndeclaredName { name: ik.unknown_names[u as usize].clone() },
-        )
-        .at_warp(wid)
-        .with_context("store to unknown array")),
-    }
-}
-
-fn ill_typed_store(
-    kernel_name: &str,
-    space: &str,
-    array: &str,
-    expected: Scalar,
-    got: Scalar,
-) -> SimFault {
-    SimFault::new(
-        kernel_name,
-        FaultKind::IllTyped {
-            detail: format!(
-                "store type mismatch into {space} {array:?}: array is {expected:?}, value is {got:?}"
-            ),
-        },
-    )
 }

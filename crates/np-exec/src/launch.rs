@@ -36,8 +36,9 @@
 //! are inherently sequential and force the fallback path.
 
 use crate::fault::{FaultKind, SimFault};
-use crate::interp::{bit_set, bitmaps_intersect, run_block, BlockLog, LaunchCtx, StoreRec};
+use crate::interp::{bit_set, bitmaps_intersect, BlockLog, LaunchCtx, StoreRec, Vm};
 use crate::machine::{Args, ExecError, GlobalState};
+use crate::program::Program;
 use crate::resources::estimate_resources;
 use np_gpu_sim::capture::CapturedLaunch;
 use np_gpu_sim::config::DeviceConfig;
@@ -297,7 +298,7 @@ pub fn launch(
     let (run, resources, occ) = interpret_launch(dev, kernel, grid, args, opts)?;
     let timing = {
         let _t = np_obs::span("exec.timing");
-        simulate_blocks(dev, &occ, run.traces, grid.count())
+        simulate_blocks(dev, &occ, &run.traces, grid.count())
     };
     Ok(KernelReport {
         kernel_name: kernel.name.clone(),
@@ -451,9 +452,11 @@ fn interpret_launch(
         && opts.deadline.is_none()
         && opts.check_races != RaceCheckMode::Fatal;
 
+    let prog = Program::lower(&ik, &globals.scalars, grid);
     let env = RunEnv {
         dev,
         ik: &ik,
+        prog: &prog,
         grid,
         sim_blocks,
         warps_per_block,
@@ -495,6 +498,7 @@ fn interpret_launch(
 struct RunEnv<'a> {
     dev: &'a DeviceConfig,
     ik: &'a InternedKernel,
+    prog: &'a Program,
     grid: Dim3,
     sim_blocks: u64,
     warps_per_block: u64,
@@ -502,9 +506,14 @@ struct RunEnv<'a> {
     opts: &'a SimOptions,
 }
 
-impl RunEnv<'_> {
+impl<'a> RunEnv<'a> {
     fn block_idx(&self, bx: u64) -> (u32, u32) {
         ((bx % self.grid.x as u64) as u32, (bx / self.grid.x as u64) as u32)
+    }
+
+    /// A worker's interpreter, reused for every block it runs.
+    fn vm(&self) -> Vm<'a> {
+        Vm::new(self.prog, self.ik, self.dev, self.local_per_thread)
     }
 }
 
@@ -541,16 +550,9 @@ fn interpret_sequential(env: &RunEnv, globals: &mut GlobalState) -> InterpRun {
         opts.fault_injection.clone(),
         recorder,
     );
+    let mut vm = env.vm();
     for bx in 0..env.sim_blocks {
-        match run_block(
-            env.ik,
-            env.dev,
-            &mut ctx,
-            env.block_idx(bx),
-            env.grid,
-            bx * env.warps_per_block,
-            env.local_per_thread,
-        ) {
+        match vm.run_block(&mut ctx, env.block_idx(bx), env.grid, bx * env.warps_per_block) {
             Ok(trace) => {
                 profile.record_block(&trace);
                 traces.push(trace);
@@ -595,32 +597,29 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
         let base: &GlobalState = globals;
         std::thread::scope(|s| {
             for _ in 0..pool {
-                s.spawn(|| loop {
-                    let bx = next.fetch_add(1, Ordering::Relaxed);
-                    if bx >= sim_blocks || bx > fault_floor.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let recorder =
-                        check_races.then(|| RaceRecorder::new(opts.race_options.clone()));
-                    let mut ctx = LaunchCtx::new_logged(base, &rw, opts.watchdog_steps, recorder);
-                    let r = run_block(
-                        ik,
-                        env.dev,
-                        &mut ctx,
-                        env.block_idx(bx),
-                        env.grid,
-                        bx * env.warps_per_block,
-                        env.local_per_thread,
-                    );
-                    let log = ctx.finish_logged();
-                    let outcome = match r {
-                        Ok(trace) => Outcome::Ok(trace, log),
-                        Err(f) => {
-                            fault_floor.fetch_min(bx, Ordering::Relaxed);
-                            Outcome::Fault(f, log)
+                s.spawn(|| {
+                    let mut vm = env.vm();
+                    loop {
+                        let bx = next.fetch_add(1, Ordering::Relaxed);
+                        if bx >= sim_blocks || bx > fault_floor.load(Ordering::Relaxed) {
+                            break;
                         }
-                    };
-                    *results[bx as usize].lock().expect("worker slot lock") = Some(outcome);
+                        let recorder =
+                            check_races.then(|| RaceRecorder::new(opts.race_options.clone()));
+                        let mut ctx =
+                            LaunchCtx::new_logged(base, &rw, opts.watchdog_steps, recorder);
+                        let first_warp = bx * env.warps_per_block;
+                        let r = vm.run_block(&mut ctx, env.block_idx(bx), env.grid, first_warp);
+                        let log = ctx.finish_logged();
+                        let outcome = match r {
+                            Ok(trace) => Outcome::Ok(trace, log),
+                            Err(f) => {
+                                fault_floor.fetch_min(bx, Ordering::Relaxed);
+                                Outcome::Fault(f, log)
+                            }
+                        };
+                        *results[bx as usize].lock().expect("worker slot lock") = Some(outcome);
+                    }
                 });
             }
         });

@@ -11,6 +11,7 @@ pub mod fault;
 pub mod interp;
 pub mod launch;
 pub mod machine;
+mod program;
 pub mod resources;
 pub mod value;
 

@@ -1,6 +1,7 @@
 //! Device memory state: argument binding, global/constant/texture buffers
 //! with simulated addresses, per-block shared memory, per-warp local memory.
 
+use crate::value::{lanes, Lanes, Mask};
 use np_kernel_ir::kernel::{Kernel, ParamKind};
 use np_kernel_ir::types::Scalar;
 use std::collections::HashMap;
@@ -39,6 +40,18 @@ impl Buffer {
             Buffer::F32(v) => v[idx].to_bits(),
             Buffer::I32(v) => v[idx] as u32,
             Buffer::U32(v) => v[idx],
+        }
+    }
+
+    /// Read the elements at `idx` into `out` for the lanes of `mask`.
+    pub(crate) fn read_lanes(&self, idx: &Lanes, mask: Mask, out: &mut Lanes) {
+        fn gather<T: Copy>(v: &[T], idx: &Lanes, mask: Mask, out: &mut Lanes, f: fn(T) -> u32) {
+            lanes(mask).for_each(|l| out[l] = f(v[idx[l] as usize]));
+        }
+        match self {
+            Buffer::F32(v) => gather(v, idx, mask, out, f32::to_bits),
+            Buffer::I32(v) => gather(v, idx, mask, out, |x| x as u32),
+            Buffer::U32(v) => gather(v, idx, mask, out, |x| x),
         }
     }
 

@@ -1,9 +1,10 @@
 //! Per-warp lane-vector values.
 //!
-//! Every scalar the interpreter manipulates is a vector of 32 lane values
-//! plus a type tag. Operations are applied only to lanes in the active mask
-//! so that, e.g., an integer division in a branch not taken by some lanes
-//! cannot fault.
+//! Every scalar the interpreter manipulates is 32 raw lane words plus a type
+//! tag: `f32` lanes hold their bit patterns, `i32` lanes their two's
+//! complement, `Bool` lanes 0 or 1. Operations compute only the lanes in
+//! the active mask and leave 0 in the others, so that, e.g., an integer
+//! division in a branch not taken by some lanes cannot fault.
 
 use np_kernel_ir::expr::{BinOp, UnOp};
 use np_kernel_ir::types::Scalar;
@@ -17,6 +18,9 @@ pub type Mask = u32;
 /// Full mask.
 pub const FULL_MASK: Mask = u32::MAX;
 
+/// One warp-wide value's raw lane words.
+pub type Lanes = [u32; LANES];
+
 /// A lane operation the kernel had no right to perform. Carried up to the
 /// interpreter, which wraps it into a typed `SimFault` with warp context.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,552 +33,307 @@ pub struct ValueError {
     pub msg: String,
 }
 
-impl ValueError {
-    fn ill_typed(msg: impl Into<String>) -> ValueError {
-        ValueError { ill_typed: true, lane: None, msg: msg.into() }
-    }
+fn ill_typed(msg: String) -> ValueError {
+    ValueError { ill_typed: true, lane: None, msg }
+}
 
-    fn invalid(lane: usize, msg: impl Into<String>) -> ValueError {
-        ValueError { ill_typed: false, lane: Some(lane), msg: msg.into() }
+/// Iterate over the set lanes of a mask, lowest first.
+pub fn lanes(mut mask: Mask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
+}
+
+/// All-ones in the active lanes, zero elsewhere.
+#[inline]
+fn lane_fill(mask: Mask) -> Lanes {
+    std::array::from_fn(|l| 0u32.wrapping_sub((mask >> l) & 1))
+}
+
+/// `a` in the lanes of `mask`, `b` elsewhere.
+#[inline]
+pub fn blend(mask: Mask, a: &Lanes, b: &Lanes) -> Lanes {
+    if mask == FULL_MASK {
+        return *a;
+    }
+    let m = lane_fill(mask);
+    std::array::from_fn(|l| (a[l] & m[l]) | (b[l] & !m[l]))
+}
+
+/// Lanes of a `Bool` value that are true, intersected with `mask`.
+#[inline]
+pub fn bool_mask(a: &Lanes, mask: Mask) -> Mask {
+    a.iter().enumerate().fold(0, |m, (l, &x)| m | ((x != 0) as u32) << l) & mask
+}
+
+// Every lane is computed (the operations cannot panic) and inactive lanes
+// are then cleared, which lets the compiler vectorize the loop.
+#[inline]
+fn map1(a: &Lanes, mask: Mask, f: impl Fn(u32) -> u32) -> Lanes {
+    let r = std::array::from_fn(|l| f(a[l]));
+    blend(mask, &r, &[0; LANES])
+}
+
+#[inline]
+fn map2(a: &Lanes, b: &Lanes, mask: Mask, f: impl Fn(u32, u32) -> u32) -> Lanes {
+    let r = std::array::from_fn(|l| f(a[l], b[l]));
+    blend(mask, &r, &[0; LANES])
+}
+
+/// Integer division-like operations: only active lanes run, and the first
+/// active lane (in lane order) with a zero divisor faults.
+fn checked(
+    a: &Lanes,
+    b: &Lanes,
+    mask: Mask,
+    what: &str,
+    f: impl Fn(u32, u32) -> u32,
+) -> Result<Lanes, ValueError> {
+    let mut r = [0; LANES];
+    for l in lanes(mask) {
+        if b[l] == 0 {
+            return Err(ValueError {
+                ill_typed: false,
+                lane: Some(l),
+                msg: format!("integer {what} by zero"),
+            });
+        }
+        r[l] = f(a[l], b[l]);
+    }
+    Ok(r)
+}
+
+fn compare<T: PartialOrd>(
+    op: BinOp,
+    a: &Lanes,
+    b: &Lanes,
+    mask: Mask,
+    v: impl Fn(u32) -> T + Copy,
+) -> Lanes {
+    match op {
+        BinOp::Lt => map2(a, b, mask, |x, y| (v(x) < v(y)) as u32),
+        BinOp::Le => map2(a, b, mask, |x, y| (v(x) <= v(y)) as u32),
+        BinOp::Gt => map2(a, b, mask, |x, y| (v(x) > v(y)) as u32),
+        BinOp::Ge => map2(a, b, mask, |x, y| (v(x) >= v(y)) as u32),
+        BinOp::Eq => map2(a, b, mask, |x, y| (v(x) == v(y)) as u32),
+        _ => map2(a, b, mask, |x, y| (v(x) != v(y)) as u32),
     }
 }
 
-/// A warp-wide value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WVal {
-    F32([f32; LANES]),
-    I32([i32; LANES]),
-    U32([u32; LANES]),
-    Bool([bool; LANES]),
+fn float(a: &Lanes, b: &Lanes, mask: Mask, f: impl Fn(f32, f32) -> f32) -> Lanes {
+    map2(a, b, mask, |x, y| f(f32::from_bits(x), f32::from_bits(y)).to_bits())
 }
 
-/// Iterate over the set lanes of a mask.
-pub fn lanes(mask: Mask) -> impl Iterator<Item = usize> {
-    (0..LANES).filter(move |l| mask & (1 << l) != 0)
+fn undefined(op: impl std::fmt::Debug, ty: Scalar) -> ValueError {
+    ill_typed(format!("operator {op:?} not defined on {}", format!("{ty:?}").to_lowercase()))
 }
 
-impl WVal {
-    /// Zero value of a type.
-    pub fn zero(ty: Scalar) -> WVal {
-        match ty {
-            Scalar::F32 => WVal::F32([0.0; LANES]),
-            Scalar::I32 => WVal::I32([0; LANES]),
-            Scalar::U32 => WVal::U32([0; LANES]),
-            Scalar::Bool => WVal::Bool([false; LANES]),
-        }
+/// Apply a binary operator lane-wise under `mask` into `out`; returns the
+/// result type.
+pub fn binary(
+    op: BinOp,
+    (ta, a): (Scalar, &Lanes),
+    (tb, b): (Scalar, &Lanes),
+    mask: Mask,
+    out: &mut Lanes,
+) -> Result<Scalar, ValueError> {
+    use BinOp::*;
+    use Scalar::*;
+    if ta != tb {
+        return Err(ill_typed(format!(
+            "type mismatch in binary {op:?}: {ta:?} vs {tb:?} (insert an explicit Cast)"
+        )));
     }
-
-    /// Same value in every lane.
-    pub fn splat_f32(x: f32) -> WVal {
-        WVal::F32([x; LANES])
-    }
-    pub fn splat_i32(x: i32) -> WVal {
-        WVal::I32([x; LANES])
-    }
-    pub fn splat_u32(x: u32) -> WVal {
-        WVal::U32([x; LANES])
-    }
-    pub fn splat_bool(x: bool) -> WVal {
-        WVal::Bool([x; LANES])
-    }
-
-    /// The IR type of this value.
-    pub fn ty(&self) -> Scalar {
-        match self {
-            WVal::F32(_) => Scalar::F32,
-            WVal::I32(_) => Scalar::I32,
-            WVal::U32(_) => Scalar::U32,
-            WVal::Bool(_) => Scalar::Bool,
-        }
-    }
-
-    /// Lane value as f32 bits pattern (for typed raw storage).
-    pub fn lane_bits(&self, lane: usize) -> u32 {
-        match self {
-            WVal::F32(v) => v[lane].to_bits(),
-            WVal::I32(v) => v[lane] as u32,
-            WVal::U32(v) => v[lane],
-            WVal::Bool(v) => v[lane] as u32,
-        }
-    }
-
-    /// Build a value of type `ty` from raw bit patterns.
-    pub fn from_bits(ty: Scalar, bits: [u32; LANES]) -> WVal {
-        match ty {
-            Scalar::F32 => WVal::F32(bits.map(f32::from_bits)),
-            Scalar::I32 => WVal::I32(bits.map(|b| b as i32)),
-            Scalar::U32 => WVal::U32(bits),
-            Scalar::Bool => WVal::Bool(bits.map(|b| b != 0)),
-        }
-    }
-
-    /// Lane value as i64 (integers only) — used for indices.
-    pub fn lane_index(&self, lane: usize) -> Option<i64> {
-        match self {
-            WVal::I32(v) => Some(v[lane] as i64),
-            WVal::U32(v) => Some(v[lane] as i64),
-            _ => None,
-        }
-    }
-
-    /// Lane value as bool (Bool only).
-    pub fn lane_bool(&self, lane: usize) -> Option<bool> {
-        match self {
-            WVal::Bool(v) => Some(v[lane]),
-            _ => None,
-        }
-    }
-
-    /// Merge `new` into `self` on the active lanes of `mask`.
-    pub fn merge_from(&mut self, new: &WVal, mask: Mask) -> Result<(), ValueError> {
-        if self.ty() != new.ty() {
-            return Err(ValueError::ill_typed(format!(
-                "type mismatch in assignment: {:?} = {:?}",
-                self.ty(),
-                new.ty()
-            )));
-        }
-        // Every lane active (the common case): a whole-value copy replaces
-        // the per-lane masked loop, lane-for-lane identical.
-        if mask == FULL_MASK {
-            self.clone_from(new);
-            return Ok(());
-        }
-        match (self, new) {
-            (WVal::F32(a), WVal::F32(b)) => {
-                for l in lanes(mask) {
-                    a[l] = b[l];
-                }
-            }
-            (WVal::I32(a), WVal::I32(b)) => {
-                for l in lanes(mask) {
-                    a[l] = b[l];
-                }
-            }
-            (WVal::U32(a), WVal::U32(b)) => {
-                for l in lanes(mask) {
-                    a[l] = b[l];
-                }
-            }
-            (WVal::Bool(a), WVal::Bool(b)) => {
-                for l in lanes(mask) {
-                    a[l] = b[l];
-                }
-            }
-            // Internal invariant: types were checked equal above.
-            _ => unreachable!(),
-        }
-        Ok(())
-    }
-
-    /// Apply a binary operator lane-wise under `mask`.
-    pub fn binary(op: BinOp, a: &WVal, b: &WVal, mask: Mask) -> Result<WVal, ValueError> {
-        use BinOp::*;
-        // Fully-active warps (the overwhelmingly common case) take straight
-        // 0..LANES loops over the hottest operators so the compiler can
-        // vectorize them; results are lane-for-lane identical to the masked
-        // path because no lane is skipped.
-        if mask == FULL_MASK {
-            match (op, a, b) {
-                (Add, WVal::F32(x), WVal::F32(y)) => {
-                    return Ok(WVal::F32(std::array::from_fn(|l| x[l] + y[l])))
-                }
-                (Sub, WVal::F32(x), WVal::F32(y)) => {
-                    return Ok(WVal::F32(std::array::from_fn(|l| x[l] - y[l])))
-                }
-                (Mul, WVal::F32(x), WVal::F32(y)) => {
-                    return Ok(WVal::F32(std::array::from_fn(|l| x[l] * y[l])))
-                }
-                (Add, WVal::I32(x), WVal::I32(y)) => {
-                    return Ok(WVal::I32(std::array::from_fn(|l| x[l].wrapping_add(y[l]))))
-                }
-                (Sub, WVal::I32(x), WVal::I32(y)) => {
-                    return Ok(WVal::I32(std::array::from_fn(|l| x[l].wrapping_sub(y[l]))))
-                }
-                (Mul, WVal::I32(x), WVal::I32(y)) => {
-                    return Ok(WVal::I32(std::array::from_fn(|l| x[l].wrapping_mul(y[l]))))
-                }
-                (Lt, WVal::I32(x), WVal::I32(y)) => {
-                    return Ok(WVal::Bool(std::array::from_fn(|l| x[l] < y[l])))
-                }
-                (Le, WVal::I32(x), WVal::I32(y)) => {
-                    return Ok(WVal::Bool(std::array::from_fn(|l| x[l] <= y[l])))
-                }
-                (Gt, WVal::I32(x), WVal::I32(y)) => {
-                    return Ok(WVal::Bool(std::array::from_fn(|l| x[l] > y[l])))
-                }
-                (Ge, WVal::I32(x), WVal::I32(y)) => {
-                    return Ok(WVal::Bool(std::array::from_fn(|l| x[l] >= y[l])))
-                }
-                _ => {}
-            }
-        }
-        let out = match (a, b) {
-            (WVal::F32(x), WVal::F32(y)) => match op {
-                Add | Sub | Mul | Div | Rem | Min | Max => {
-                    let mut r = [0.0f32; LANES];
-                    for l in lanes(mask) {
-                        r[l] = match op {
-                            Add => x[l] + y[l],
-                            Sub => x[l] - y[l],
-                            Mul => x[l] * y[l],
-                            Div => x[l] / y[l],
-                            Rem => x[l] % y[l],
-                            Min => x[l].min(y[l]),
-                            Max => x[l].max(y[l]),
-                            _ => unreachable!(),
-                        };
-                    }
-                    WVal::F32(r)
-                }
-                Lt | Le | Gt | Ge | Eq | Ne => {
-                    let mut r = [false; LANES];
-                    for l in lanes(mask) {
-                        r[l] = match op {
-                            Lt => x[l] < y[l],
-                            Le => x[l] <= y[l],
-                            Gt => x[l] > y[l],
-                            Ge => x[l] >= y[l],
-                            Eq => x[l] == y[l],
-                            Ne => x[l] != y[l],
-                            _ => unreachable!(),
-                        };
-                    }
-                    WVal::Bool(r)
-                }
-                _ => return Err(ValueError::ill_typed(format!("operator {op:?} not defined on f32"))),
-            },
-            (WVal::I32(x), WVal::I32(y)) => match op {
-                Lt | Le | Gt | Ge | Eq | Ne => {
-                    let mut r = [false; LANES];
-                    for l in lanes(mask) {
-                        r[l] = match op {
-                            Lt => x[l] < y[l],
-                            Le => x[l] <= y[l],
-                            Gt => x[l] > y[l],
-                            Ge => x[l] >= y[l],
-                            Eq => x[l] == y[l],
-                            Ne => x[l] != y[l],
-                            _ => unreachable!(),
-                        };
-                    }
-                    WVal::Bool(r)
-                }
-                _ => {
-                    let mut r = [0i32; LANES];
-                    for l in lanes(mask) {
-                        r[l] = match op {
-                            Add => x[l].wrapping_add(y[l]),
-                            Sub => x[l].wrapping_sub(y[l]),
-                            Mul => x[l].wrapping_mul(y[l]),
-                            Div => {
-                                if y[l] == 0 {
-                                    return Err(ValueError::invalid(l, "integer division by zero"));
-                                }
-                                x[l].wrapping_div(y[l])
-                            }
-                            Rem => {
-                                if y[l] == 0 {
-                                    return Err(ValueError::invalid(l, "integer remainder by zero"));
-                                }
-                                x[l].wrapping_rem(y[l])
-                            }
-                            Min => x[l].min(y[l]),
-                            Max => x[l].max(y[l]),
-                            And => x[l] & y[l],
-                            Or => x[l] | y[l],
-                            Xor => x[l] ^ y[l],
-                            Shl => x[l].wrapping_shl(y[l] as u32),
-                            Shr => x[l].wrapping_shr(y[l] as u32),
-                            _ => {
-                                return Err(ValueError::ill_typed(format!(
-                                    "operator {op:?} not defined on i32"
-                                )))
-                            }
-                        };
-                    }
-                    WVal::I32(r)
-                }
-            },
-            (WVal::U32(x), WVal::U32(y)) => match op {
-                Lt | Le | Gt | Ge | Eq | Ne => {
-                    let mut r = [false; LANES];
-                    for l in lanes(mask) {
-                        r[l] = match op {
-                            Lt => x[l] < y[l],
-                            Le => x[l] <= y[l],
-                            Gt => x[l] > y[l],
-                            Ge => x[l] >= y[l],
-                            Eq => x[l] == y[l],
-                            Ne => x[l] != y[l],
-                            _ => unreachable!(),
-                        };
-                    }
-                    WVal::Bool(r)
-                }
-                _ => {
-                    let mut r = [0u32; LANES];
-                    for l in lanes(mask) {
-                        r[l] = match op {
-                            Add => x[l].wrapping_add(y[l]),
-                            Sub => x[l].wrapping_sub(y[l]),
-                            Mul => x[l].wrapping_mul(y[l]),
-                            Div => {
-                                if y[l] == 0 {
-                                    return Err(ValueError::invalid(l, "integer division by zero"));
-                                }
-                                x[l] / y[l]
-                            }
-                            Rem => {
-                                if y[l] == 0 {
-                                    return Err(ValueError::invalid(l, "integer remainder by zero"));
-                                }
-                                x[l] % y[l]
-                            }
-                            Min => x[l].min(y[l]),
-                            Max => x[l].max(y[l]),
-                            And => x[l] & y[l],
-                            Or => x[l] | y[l],
-                            Xor => x[l] ^ y[l],
-                            Shl => x[l].wrapping_shl(y[l]),
-                            Shr => x[l].wrapping_shr(y[l]),
-                            _ => {
-                                return Err(ValueError::ill_typed(format!(
-                                    "operator {op:?} not defined on u32"
-                                )))
-                            }
-                        };
-                    }
-                    WVal::U32(r)
-                }
-            },
-            (WVal::Bool(x), WVal::Bool(y)) => {
-                let mut r = [false; LANES];
-                for l in lanes(mask) {
-                    r[l] = match op {
-                        LAnd | And => x[l] && y[l],
-                        LOr | Or => x[l] || y[l],
-                        Eq => x[l] == y[l],
-                        Ne => x[l] != y[l],
-                        Xor => x[l] != y[l],
-                        _ => {
-                            return Err(ValueError::ill_typed(format!(
-                                "operator {op:?} not defined on bool"
-                            )))
-                        }
-                    };
-                }
-                WVal::Bool(r)
-            }
-            (a, b) => {
-                return Err(ValueError::ill_typed(format!(
-                    "type mismatch in binary {op:?}: {:?} vs {:?} (insert an explicit Cast)",
-                    a.ty(),
-                    b.ty()
-                )))
-            }
-        };
-        Ok(out)
-    }
-
-    /// Apply a unary operator lane-wise under `mask`.
-    pub fn unary(op: UnOp, a: &WVal, mask: Mask) -> Result<WVal, ValueError> {
-        use UnOp::*;
-        let out = match a {
-            WVal::F32(x) => {
-                let mut r = [0.0f32; LANES];
-                for l in lanes(mask) {
-                    r[l] = match op {
-                        Neg => -x[l],
-                        Sqrt => x[l].sqrt(),
-                        Exp => x[l].exp(),
-                        Log => x[l].ln(),
-                        Sin => x[l].sin(),
-                        Cos => x[l].cos(),
-                        Abs => x[l].abs(),
-                        Floor => x[l].floor(),
-                        Not => return Err(ValueError::ill_typed("logical not on f32")),
-                    };
-                }
-                WVal::F32(r)
-            }
-            WVal::I32(x) => {
-                let mut r = [0i32; LANES];
-                for l in lanes(mask) {
-                    r[l] = match op {
-                        Neg => x[l].wrapping_neg(),
-                        Abs => x[l].wrapping_abs(),
-                        _ => {
-                            return Err(ValueError::ill_typed(format!(
-                                "operator {op:?} not defined on i32"
-                            )))
-                        }
-                    };
-                }
-                WVal::I32(r)
-            }
-            WVal::Bool(x) => {
-                let mut r = [false; LANES];
-                for l in lanes(mask) {
-                    r[l] = match op {
-                        Not => !x[l],
-                        _ => {
-                            return Err(ValueError::ill_typed(format!(
-                                "operator {op:?} not defined on bool"
-                            )))
-                        }
-                    };
-                }
-                WVal::Bool(r)
-            }
-            WVal::U32(_) => {
-                return Err(ValueError::ill_typed(format!("operator {op:?} not defined on u32")))
-            }
-        };
-        Ok(out)
-    }
-
-    /// Lane-wise cast under `mask`.
-    pub fn cast(&self, to: Scalar, mask: Mask) -> WVal {
-        let mut out = WVal::zero(to);
-        for l in lanes(mask) {
-            let bits = match (self, to) {
-                (WVal::F32(v), Scalar::I32) => (v[l] as i32) as u32,
-                (WVal::F32(v), Scalar::U32) => v[l] as u32,
-                (WVal::F32(v), Scalar::F32) => v[l].to_bits(),
-                (WVal::I32(v), Scalar::F32) => (v[l] as f32).to_bits(),
-                (WVal::I32(v), Scalar::U32) => v[l] as u32,
-                (WVal::I32(v), Scalar::I32) => v[l] as u32,
-                (WVal::U32(v), Scalar::F32) => (v[l] as f32).to_bits(),
-                (WVal::U32(v), Scalar::I32) => v[l],
-                (WVal::U32(v), Scalar::U32) => v[l],
-                (WVal::Bool(v), Scalar::I32) | (WVal::Bool(v), Scalar::U32) => v[l] as u32,
-                (WVal::Bool(v), Scalar::F32) => (v[l] as u32 as f32).to_bits(),
-                (_, Scalar::Bool) => (self.lane_bits(l) != 0) as u32,
+    let i = |x: u32| x as i32;
+    *out = match (ta, op) {
+        (F32 | I32 | U32, Lt | Le | Gt | Ge | Eq | Ne) => {
+            *out = match ta {
+                F32 => compare(op, a, b, mask, f32::from_bits),
+                I32 => compare(op, a, b, mask, i),
+                _ => compare(op, a, b, mask, |x| x),
             };
-            match &mut out {
-                WVal::F32(o) => o[l] = f32::from_bits(bits),
-                WVal::I32(o) => o[l] = bits as i32,
-                WVal::U32(o) => o[l] = bits,
-                WVal::Bool(o) => o[l] = bits != 0,
-            }
+            return Ok(Bool);
         }
-        out
-    }
+        (F32, Add) => float(a, b, mask, |x, y| x + y),
+        (F32, Sub) => float(a, b, mask, |x, y| x - y),
+        (F32, Mul) => float(a, b, mask, |x, y| x * y),
+        (F32, Div) => float(a, b, mask, |x, y| x / y),
+        (F32, Rem) => float(a, b, mask, |x, y| x % y),
+        (F32, Min) => float(a, b, mask, f32::min),
+        (F32, Max) => float(a, b, mask, f32::max),
+        (I32 | U32, Add) => map2(a, b, mask, u32::wrapping_add),
+        (I32 | U32, Sub) => map2(a, b, mask, u32::wrapping_sub),
+        (I32 | U32, Mul) => map2(a, b, mask, u32::wrapping_mul),
+        (I32 | U32, And) | (Bool, And | LAnd) => map2(a, b, mask, |x, y| x & y),
+        (I32 | U32, Or) | (Bool, Or | LOr) => map2(a, b, mask, |x, y| x | y),
+        (I32 | U32 | Bool, Xor) | (Bool, Ne) => map2(a, b, mask, |x, y| x ^ y),
+        (Bool, Eq) => map2(a, b, mask, |x, y| (x == y) as u32),
+        (I32 | U32, Shl) => map2(a, b, mask, u32::wrapping_shl),
+        (I32, Shr) => map2(a, b, mask, |x, y| i(x).wrapping_shr(y) as u32),
+        (U32, Shr) => map2(a, b, mask, u32::wrapping_shr),
+        (I32, Min) => map2(a, b, mask, |x, y| i(x).min(i(y)) as u32),
+        (I32, Max) => map2(a, b, mask, |x, y| i(x).max(i(y)) as u32),
+        (U32, Min) => map2(a, b, mask, u32::min),
+        (U32, Max) => map2(a, b, mask, u32::max),
+        (I32, Div) => checked(a, b, mask, "division", |x, y| i(x).wrapping_div(i(y)) as u32)?,
+        (I32, Rem) => checked(a, b, mask, "remainder", |x, y| i(x).wrapping_rem(i(y)) as u32)?,
+        (U32, Div) => checked(a, b, mask, "division", |x, y| x / y)?,
+        (U32, Rem) => checked(a, b, mask, "remainder", |x, y| x % y)?,
+        (ty, op) => return Err(undefined(op, ty)),
+    };
+    Ok(ta)
+}
 
-    /// Bitmask of lanes whose Bool value is true, intersected with `mask`.
-    pub fn true_mask(&self, mask: Mask) -> Result<Mask, ValueError> {
-        let WVal::Bool(v) = self else {
-            return Err(ValueError::ill_typed(format!(
-                "condition must be Bool, found {:?}",
-                self.ty()
-            )));
-        };
-        let mut m = 0;
-        for l in lanes(mask) {
-            if v[l] {
-                m |= 1 << l;
-            }
-        }
-        Ok(m)
+/// Apply a unary operator lane-wise under `mask` into `out`.
+pub fn unary(
+    op: UnOp,
+    ta: Scalar,
+    a: &Lanes,
+    mask: Mask,
+    out: &mut Lanes,
+) -> Result<(), ValueError> {
+    use Scalar::*;
+    use UnOp::*;
+    let float = |f: fn(f32) -> f32| map1(a, mask, |x| f(f32::from_bits(x)).to_bits());
+    *out = match (ta, op) {
+        (F32, Neg) => float(|x| -x),
+        (F32, Sqrt) => float(f32::sqrt),
+        (F32, Exp) => float(f32::exp),
+        (F32, Log) => float(f32::ln),
+        (F32, Sin) => float(f32::sin),
+        (F32, Cos) => float(f32::cos),
+        (F32, Abs) => float(f32::abs),
+        (F32, Floor) => float(f32::floor),
+        (F32, Not) => return Err(ill_typed("logical not on f32".to_string())),
+        (I32, Neg) => map1(a, mask, |x| (x as i32).wrapping_neg() as u32),
+        (I32, Abs) => map1(a, mask, |x| (x as i32).wrapping_abs() as u32),
+        (Bool, Not) => map1(a, mask, |x| x ^ 1),
+        (ty, op) => return Err(undefined(op, ty)),
+    };
+    Ok(())
+}
+
+/// Lane-wise cast under `mask`.
+pub fn cast(from: Scalar, a: &Lanes, to: Scalar, mask: Mask) -> Lanes {
+    use Scalar::*;
+    match (from, to) {
+        (F32, I32) => map1(a, mask, |x| f32::from_bits(x) as i32 as u32),
+        (F32, U32) => map1(a, mask, |x| f32::from_bits(x) as u32),
+        (I32, F32) => map1(a, mask, |x| (x as i32 as f32).to_bits()),
+        (U32 | Bool, F32) => map1(a, mask, |x| (x as f32).to_bits()),
+        (_, Bool) => map1(a, mask, |x| (x != 0) as u32),
+        // Same width, same bits: i32 <-> u32, bool -> integer, identity.
+        _ => map1(a, mask, |x| x),
     }
+}
+
+/// Bitmask of lanes whose `Bool` value is true, intersected with `mask`.
+pub fn true_mask(ty: Scalar, a: &Lanes, mask: Mask) -> Result<Mask, ValueError> {
+    if ty != Scalar::Bool {
+        return Err(ill_typed(format!("condition must be Bool, found {ty:?}")));
+    }
+    Ok(bool_mask(a, mask))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn splat(x: u32) -> Lanes {
+        [x; LANES]
+    }
+
+    /// `x op y` on splats of one type, every lane active.
+    fn bin(op: BinOp, ty: Scalar, x: u32, y: u32) -> Result<(Scalar, Lanes), ValueError> {
+        let mut r = [0; LANES];
+        binary(op, (ty, &splat(x)), (ty, &splat(y)), FULL_MASK, &mut r).map(|t| (t, r))
+    }
+
     #[test]
     fn masked_division_does_not_fault() {
-        let a = WVal::splat_i32(10);
-        let mut b = WVal::splat_i32(2);
-        if let WVal::I32(v) = &mut b {
-            v[5] = 0; // lane 5 would divide by zero
-        }
+        let a = splat(10);
+        let mut b = splat(2);
+        b[5] = 0; // lane 5 would divide by zero
         let mask = FULL_MASK & !(1 << 5);
-        let r = WVal::binary(BinOp::Div, &a, &b, mask).unwrap();
-        if let WVal::I32(v) = r {
-            assert_eq!(v[0], 5);
-            assert_eq!(v[5], 0, "inactive lane stays default");
-        } else {
-            panic!()
-        }
+        let mut r = [0; LANES];
+        let ty = binary(BinOp::Div, (Scalar::I32, &a), (Scalar::I32, &b), mask, &mut r).unwrap();
+        assert_eq!(ty, Scalar::I32);
+        assert_eq!(r[0], 5);
+        assert_eq!(r[5], 0, "inactive lane stays default");
     }
 
     #[test]
     fn active_division_by_zero_faults() {
-        let a = WVal::splat_i32(1);
-        let b = WVal::splat_i32(0);
-        let err = WVal::binary(BinOp::Div, &a, &b, FULL_MASK).unwrap_err();
+        let err = bin(BinOp::Div, Scalar::I32, 1, 0).unwrap_err();
         assert!(!err.ill_typed);
         assert_eq!(err.lane, Some(0));
         assert!(err.msg.contains("division by zero"), "{:?}", err.msg);
     }
 
     #[test]
-    fn merge_respects_mask() {
-        let mut a = WVal::splat_f32(1.0);
-        let b = WVal::splat_f32(2.0);
-        a.merge_from(&b, 0b1010).unwrap();
-        if let WVal::F32(v) = a {
-            assert_eq!(v[0], 1.0);
-            assert_eq!(v[1], 2.0);
-            assert_eq!(v[2], 1.0);
-            assert_eq!(v[3], 2.0);
-        } else {
-            panic!()
-        }
+    fn inactive_lanes_are_cleared() {
+        let mut r = [0; LANES];
+        let i32 = Scalar::I32;
+        binary(BinOp::Add, (i32, &splat(1)), (i32, &splat(2)), 0b1010, &mut r).unwrap();
+        assert_eq!(&r[..4], &[0, 3, 0, 3]);
+        assert_eq!(blend(0b10, &splat(7), &r)[..3], [0, 7, 0]);
     }
 
     #[test]
     fn comparisons_yield_bool() {
-        let a = WVal::splat_i32(3);
-        let b = WVal::splat_i32(4);
-        let r = WVal::binary(BinOp::Lt, &a, &b, FULL_MASK).unwrap();
-        assert_eq!(r.true_mask(FULL_MASK).unwrap(), FULL_MASK);
+        let (ty, r) = bin(BinOp::Lt, Scalar::I32, 3, 4).unwrap();
+        assert_eq!(ty, Scalar::Bool);
+        assert_eq!(true_mask(ty, &r, FULL_MASK).unwrap(), FULL_MASK);
+        let neg = (-1i32) as u32;
+        assert_eq!(bin(BinOp::Lt, Scalar::I32, neg, 0).unwrap().1[0], 1, "i32 compares signed");
+        assert_eq!(bin(BinOp::Lt, Scalar::U32, neg, 0).unwrap().1[0], 0, "u32 compares unsigned");
     }
 
     #[test]
     fn mixed_types_are_ill_typed() {
-        let a = WVal::splat_i32(3);
-        let b = WVal::splat_f32(4.0);
-        let err = WVal::binary(BinOp::Add, &a, &b, FULL_MASK).unwrap_err();
+        let mut r = [0; LANES];
+        let err = binary(
+            BinOp::Add,
+            (Scalar::I32, &splat(3)),
+            (Scalar::F32, &splat(0)),
+            FULL_MASK,
+            &mut r,
+        )
+        .unwrap_err();
         assert!(err.ill_typed);
-        assert!(err.msg.contains("type mismatch"), "{:?}", err.msg);
+        assert_eq!(err.msg, "type mismatch in binary Add: I32 vs F32 (insert an explicit Cast)");
     }
 
     #[test]
     fn casts_round_trip_bits() {
-        let a = WVal::splat_f32(3.75);
-        let i = a.cast(Scalar::I32, FULL_MASK);
-        if let WVal::I32(v) = &i {
-            assert_eq!(v[0], 3);
-        }
-        let f = WVal::splat_i32(-2).cast(Scalar::F32, FULL_MASK);
-        if let WVal::F32(v) = f {
-            assert_eq!(v[0], -2.0);
-        }
-    }
-
-    #[test]
-    fn bits_round_trip() {
-        let v = WVal::splat_f32(1.5);
-        let bits: [u32; LANES] = std::array::from_fn(|l| v.lane_bits(l));
-        assert_eq!(WVal::from_bits(Scalar::F32, bits), v);
+        let i = cast(Scalar::F32, &splat(3.75f32.to_bits()), Scalar::I32, FULL_MASK);
+        assert_eq!(i[0], 3);
+        let f = cast(Scalar::I32, &splat((-2i32) as u32), Scalar::F32, FULL_MASK);
+        assert_eq!(f32::from_bits(f[0]), -2.0);
+        let b = cast(Scalar::F32, &splat((-0.0f32).to_bits()), Scalar::Bool, FULL_MASK);
+        assert_eq!(b[0], 1, "a nonzero bit pattern is true");
     }
 
     #[test]
     fn true_mask_filters() {
-        let mut c = WVal::splat_bool(true);
-        if let WVal::Bool(v) = &mut c {
-            v[1] = false;
-        }
-        assert_eq!(c.true_mask(0b111).unwrap(), 0b101);
+        let mut c = splat(1);
+        c[1] = 0;
+        assert_eq!(true_mask(Scalar::Bool, &c, 0b111).unwrap(), 0b101);
     }
 
     #[test]
     fn non_bool_condition_is_ill_typed() {
-        let err = WVal::splat_i32(1).true_mask(FULL_MASK).unwrap_err();
+        let err = true_mask(Scalar::I32, &splat(1), FULL_MASK).unwrap_err();
         assert!(err.ill_typed);
+    }
+
+    #[test]
+    fn lanes_iterates_set_bits_in_order() {
+        assert_eq!(lanes(0b1001_0110).collect::<Vec<_>>(), vec![1, 2, 4, 7]);
+        assert_eq!(lanes(FULL_MASK).count(), LANES);
     }
 }

@@ -23,13 +23,15 @@ use crate::mem::cache::Cache;
 use crate::occupancy::Occupancy;
 use crate::stats::TimingReport;
 use crate::timeline::{SmxState, Timeline};
-use crate::trace::{BlockTrace, WarpOp, WarpTrace};
+use crate::trace::{BlockTrace, WarpOp};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 #[derive(Debug)]
-struct WarpRt {
-    trace: WarpTrace,
+struct WarpRt<'t> {
+    /// The warp's trace, borrowed from the caller; empty while the slot is
+    /// free.
+    ops: &'t [WarpOp],
     pc: usize,
     block: usize,
     active: bool,
@@ -60,15 +62,16 @@ struct Smx {
     resident_blocks: u32,
 }
 
-/// The engine state of one [`simulate_blocks`] call.
-struct Engine<'d> {
+/// The engine state of one [`simulate_blocks`] call over traces that live
+/// for `'t`.
+struct Engine<'d, 't> {
     dev: &'d DeviceConfig,
     tick_per_issue: u64,
     txn_ticks: u64,
     dram_free: u64,
     l2: Cache,
     smxs: Vec<Smx>,
-    warps: Vec<WarpRt>,
+    warps: Vec<WarpRt<'t>>,
     free_warps: Vec<usize>,
     blocks: Vec<BlockRt>,
     free_blocks: Vec<usize>,
@@ -79,7 +82,7 @@ struct Engine<'d> {
     timeline: Timeline,
 }
 
-impl<'d> Engine<'d> {
+impl<'d, 't> Engine<'d, 't> {
     fn new(dev: &'d DeviceConfig) -> Self {
         let smxs = (0..dev.num_smx)
             .map(|_| Smx {
@@ -205,7 +208,7 @@ impl<'d> Engine<'d> {
     fn install_block(
         &mut self,
         smx: usize,
-        trace: BlockTrace,
+        trace: &'t BlockTrace,
         start: u64,
         blocks_per_smx: u32,
     ) {
@@ -240,13 +243,13 @@ impl<'d> Engine<'d> {
 
         let mut warp_slots = Vec::with_capacity(trace.warps.len());
         let mut live = 0;
-        for wt in trace.warps {
+        for wt in &trace.warps {
             if wt.ops.is_empty() {
                 continue;
             }
             let wslot = self.free_warps.pop().unwrap_or_else(|| {
                 self.warps.push(WarpRt {
-                    trace: WarpTrace::default(),
+                    ops: &[],
                     pc: 0,
                     block: 0,
                     active: false,
@@ -256,7 +259,7 @@ impl<'d> Engine<'d> {
                 self.warps.len() - 1
             });
             self.warps[wslot] = WarpRt {
-                trace: wt,
+                ops: &wt.ops,
                 pc: 0,
                 block: block_slot,
                 active: true,
@@ -295,7 +298,7 @@ impl<'d> Engine<'d> {
         let slots = std::mem::take(&mut self.blocks[block_slot].warp_slots);
         for w in slots {
             self.warps[w].active = false;
-            self.warps[w].trace = WarpTrace::default();
+            self.warps[w].ops = &[];
             self.free_warps.push(w);
         }
         self.blocks[block_slot].active = false;
@@ -309,10 +312,10 @@ impl<'d> Engine<'d> {
     fn run(
         mut self,
         occ: &Occupancy,
-        blocks: Vec<BlockTrace>,
+        blocks: &'t [BlockTrace],
         blocks_total: u64,
     ) -> TimingReport {
-        let mut source = blocks.into_iter();
+        let mut source = blocks.iter();
         let launch = Self::tk(self.dev.block_launch_cost as u64);
         // Initial fill, round-robin across SMXs like the hardware work
         // distributor.
@@ -330,7 +333,7 @@ impl<'d> Engine<'d> {
             let block_slot = self.warps[wslot].block;
             let smx_id = self.blocks[block_slot].smx;
 
-            if self.warps[wslot].pc >= self.warps[wslot].trace.ops.len() {
+            if self.warps[wslot].pc >= self.warps[wslot].ops.len() {
                 // Warp finished (its last op completed at `t`, pending
                 // memory drains now). The scheduler gap it ends is charged
                 // to whatever it was waiting on.
@@ -356,13 +359,9 @@ impl<'d> Engine<'d> {
             }
 
             let t_issue = t.max(self.smxs[smx_id].issue_free);
-            // Each op is executed exactly once and never re-read (pc only
-            // advances; retire resets the trace), so take it out instead of
-            // cloning — GlobalLoad/Local/Tex ops carry heap-allocated line
-            // lists a clone would have to copy.
-            let pc = self.warps[wslot].pc;
-            let op =
-                std::mem::replace(&mut self.warps[wslot].trace.ops[pc], WarpOp::Alu { count: 0 });
+            // The op is read in place: the traces outlive the engine.
+            let (ops, pc) = (self.warps[wslot].ops, self.warps[wslot].pc);
+            let op = &ops[pc];
             self.warps[wslot].pc += 1;
 
             // The reason this warp was unready until now; it was the
@@ -381,13 +380,13 @@ impl<'d> Engine<'d> {
             let mut wait = SmxState::ScoreboardDependency;
             match op {
                 WarpOp::Alu { count } => {
-                    let c = count as u64;
+                    let c = *count as u64;
                     self.smxs[smx_id].issue_free = t_issue + c * self.tick_per_issue;
                     ready = t_issue + Self::tk(c - 1) + Self::tk(self.dev.alu_latency as u64);
                     self.stats.instructions += c;
                 }
                 WarpOp::Sfu { count } => {
-                    let c = count as u64;
+                    let c = *count as u64;
                     self.smxs[smx_id].issue_free = t_issue + 4 * c * self.tick_per_issue;
                     ready =
                         t_issue + Self::tk(4 * (c - 1)) + Self::tk(self.dev.sfu_latency as u64);
@@ -398,7 +397,7 @@ impl<'d> Engine<'d> {
                     self.smxs[smx_id].issue_free =
                         t_issue + segs.len() as u64 * self.tick_per_issue;
                     let mut misses = 0u64;
-                    for seg in &segs {
+                    for seg in segs {
                         if self.l2.access(*seg) {
                             self.stats.l2_hits += 1;
                         } else {
@@ -408,7 +407,7 @@ impl<'d> Engine<'d> {
                     }
                     self.stats.instructions += 1;
                     self.stats.global_txns += segs.len() as u64;
-                    self.stats.global_bytes += bytes as u64;
+                    self.stats.global_bytes += *bytes as u64;
                     let (completion, queued) = if misses > 0 {
                         let (done, queued) = self.dram_transfer(t_issue, misses);
                         (done + Self::tk(self.dev.global_latency as u64), queued)
@@ -429,7 +428,7 @@ impl<'d> Engine<'d> {
                     // traffic. Stores retire through the write path without
                     // stalling the warp.
                     let mut misses = 0u64;
-                    for seg in &segs {
+                    for seg in segs {
                         if self.l2.access(*seg) {
                             self.stats.l2_hits += 1;
                         } else {
@@ -443,10 +442,10 @@ impl<'d> Engine<'d> {
                     ready = t_issue + Self::tk(4);
                     self.stats.instructions += 1;
                     self.stats.global_txns += segs.len() as u64;
-                    self.stats.global_bytes += bytes as u64;
+                    self.stats.global_bytes += *bytes as u64;
                 }
                 WarpOp::SharedLoad { passes } => {
-                    let p = passes as u64;
+                    let p = *passes as u64;
                     self.smxs[smx_id].issue_free = t_issue + p * self.tick_per_issue;
                     ready = t_issue
                         + Self::tk(
@@ -458,7 +457,7 @@ impl<'d> Engine<'d> {
                     self.stats.shared_replays += p - 1;
                 }
                 WarpOp::SharedStore { passes } => {
-                    let p = passes as u64;
+                    let p = *passes as u64;
                     self.smxs[smx_id].issue_free = t_issue + p * self.tick_per_issue;
                     ready = t_issue + Self::tk(2 + (p - 1) * self.dev.shared_replay_cost as u64);
                     self.stats.instructions += 1;
@@ -469,7 +468,7 @@ impl<'d> Engine<'d> {
                     self.smxs[smx_id].issue_free =
                         t_issue + lines.len() as u64 * self.tick_per_issue;
                     let mut l1_misses: Vec<u64> = Vec::new();
-                    for line in &lines {
+                    for line in lines {
                         if self.smxs[smx_id].l1.access(*line) {
                             self.stats.l1_hits += 1;
                         } else {
@@ -485,7 +484,7 @@ impl<'d> Engine<'d> {
                     self.smxs[smx_id].issue_free =
                         t_issue + lines.len() as u64 * self.tick_per_issue;
                     let mut l1_misses: Vec<u64> = Vec::new();
-                    for line in &lines {
+                    for line in lines {
                         if self.smxs[smx_id].l1.access(*line) {
                             self.stats.l1_hits += 1;
                         } else {
@@ -502,7 +501,7 @@ impl<'d> Engine<'d> {
                     self.smxs[smx_id].issue_free =
                         t_issue + lines.len() as u64 * self.tick_per_issue;
                     let mut t_misses: Vec<u64> = Vec::new();
-                    for line in &lines {
+                    for line in lines {
                         if self.smxs[smx_id].tex.access(*line) {
                             self.stats.tex_hits += 1;
                         } else {
@@ -515,7 +514,7 @@ impl<'d> Engine<'d> {
                     (ready, wait) = self.queue_mem(wslot, t_issue, t_issue + lat, queued);
                 }
                 WarpOp::ConstLoad { words } => {
-                    let w = words as u64;
+                    let w = *words as u64;
                     self.smxs[smx_id].issue_free = t_issue + w * self.tick_per_issue;
                     ready = t_issue
                         + Self::tk(
@@ -623,7 +622,7 @@ impl<'d> Engine<'d> {
 pub fn simulate_blocks(
     dev: &DeviceConfig,
     occ: &Occupancy,
-    blocks: Vec<BlockTrace>,
+    blocks: &[BlockTrace],
     blocks_total: u64,
 ) -> TimingReport {
     Engine::new(dev).run(occ, blocks, blocks_total)
@@ -666,7 +665,7 @@ mod tests {
     fn single_alu_warp_cycle_count() {
         let d = dev();
         let occ = occ_for(&d, 32, 8, 0);
-        let r = simulate_blocks(&d, &occ, vec![alu_block(1, 10)], 1);
+        let r = simulate_blocks(&d, &occ, &[alu_block(1, 10)], 1);
         // launch + (count-1) + alu_latency, within rounding.
         let expect = d.block_launch_cost as u64 + 9 + d.alu_latency as u64;
         assert!(
@@ -700,7 +699,7 @@ mod tests {
             }
             blocks.push(bt);
         }
-        let r = simulate_blocks(&d, &occ, blocks, 8);
+        let r = simulate_blocks(&d, &occ, &blocks, 8);
         assert!(
             r.dram_utilization() > 0.8,
             "expected DRAM-bound, utilization {}",
@@ -736,9 +735,9 @@ mod tests {
             bt
         };
         let occ1 = occ_for(&d, 32, 8, 0);
-        let r1 = simulate_blocks(&d, &occ1, vec![load_block(1, 64)], 1);
+        let r1 = simulate_blocks(&d, &occ1, &[load_block(1, 64)], 1);
         let occ8 = occ_for(&d, 256, 8, 0);
-        let r8 = simulate_blocks(&d, &occ8, vec![load_block(8, 8)], 1);
+        let r8 = simulate_blocks(&d, &occ8, &[load_block(8, 8)], 1);
         assert!(
             r8.cycles * 3 < r1.cycles,
             "8 warps ({}) should be >3x faster than 1 warp ({})",
@@ -763,7 +762,7 @@ mod tests {
         b1.bar();
         b1.alu(1);
         bt.warps.push(b1.finish());
-        let r = simulate_blocks(&d, &occ, vec![bt], 1);
+        let r = simulate_blocks(&d, &occ, &[bt], 1);
         assert!(r.cycles > 1000, "barrier must make warp 1 wait: {}", r.cycles);
         assert_eq!(r.barriers, 2);
     }
@@ -780,7 +779,7 @@ mod tests {
         let mut b1 = TraceBuilder::new(128, 128);
         b1.alu(1);
         bt.warps.push(b1.finish());
-        simulate_blocks(&d, &occ, vec![bt], 1);
+        simulate_blocks(&d, &occ, &[bt], 1);
     }
 
     #[test]
@@ -810,10 +809,10 @@ mod tests {
         };
         let occ_low = occ_for(&d, 32, 8, d.shared_mem_per_smx);
         assert_eq!(occ_low.blocks_per_smx, 1);
-        let r_low = simulate_blocks(&d, &occ_low, mk_blocks(), 8);
+        let r_low = simulate_blocks(&d, &occ_low, &mk_blocks(), 8);
         let occ_high = occ_for(&d, 32, 8, 0);
         assert!(occ_high.blocks_per_smx >= 4);
-        let r_high = simulate_blocks(&d, &occ_high, mk_blocks(), 8);
+        let r_high = simulate_blocks(&d, &occ_high, &mk_blocks(), 8);
         assert!(
             r_low.cycles > 2 * r_high.cycles,
             "low occupancy {} vs high {}",
@@ -826,7 +825,7 @@ mod tests {
     fn wave_sampling_scales_cycles() {
         let d = dev();
         let occ = occ_for(&d, 32, 8, 0);
-        let r_sampled = simulate_blocks(&d, &occ, vec![alu_block(1, 100); 4], 16);
+        let r_sampled = simulate_blocks(&d, &occ, &vec![alu_block(1, 100); 4], 16);
         assert!(r_sampled.is_sampled());
         assert_eq!(r_sampled.cycles, r_sampled.simulated_cycles * 4);
     }
@@ -845,8 +844,8 @@ mod tests {
             bt.warps.push(b.finish());
             bt
         };
-        let r_fit = simulate_blocks(&d, &occ, vec![local_block(4)], 1);
-        let r_thrash = simulate_blocks(&d, &occ, vec![local_block(64)], 1);
+        let r_fit = simulate_blocks(&d, &occ, &[local_block(4)], 1);
+        let r_thrash = simulate_blocks(&d, &occ, &[local_block(64)], 1);
         assert!(r_fit.l1_hit_rate() > 0.9);
         assert!(r_thrash.l1_hit_rate() < 0.1);
         assert!(r_thrash.cycles > 2 * r_fit.cycles);
@@ -856,7 +855,7 @@ mod tests {
     fn empty_grid_completes() {
         let d = dev();
         let occ = occ_for(&d, 32, 8, 0);
-        let r = simulate_blocks(&d, &occ, vec![], 0);
+        let r = simulate_blocks(&d, &occ, &[], 0);
         assert_eq!(r.blocks_simulated, 0);
         assert_eq!(r.cycles, 0);
     }

@@ -112,7 +112,7 @@ pub fn replay(dev: &DeviceConfig, cap: &CapturedLaunch) -> Result<ReplayedLaunch
     for b in &cap.blocks {
         profile.record_block(b);
     }
-    let timing = simulate_blocks(dev, &occ, cap.blocks.clone(), cap.total_blocks);
+    let timing = simulate_blocks(dev, &occ, &cap.blocks, cap.total_blocks);
     Ok(ReplayedLaunch { timing, occupancy: occ, profile })
 }
 
@@ -165,7 +165,7 @@ mod tests {
         let blocks = some_blocks(4);
         let cap = capture_of(blocks.clone(), 4);
         let occ = occupancy(&dev, &cap.resources).unwrap();
-        let direct = simulate_blocks(&dev, &occ, blocks, 4);
+        let direct = simulate_blocks(&dev, &occ, &blocks, 4);
         let replayed = replay(&dev, &cap).unwrap();
         assert_eq!(format!("{direct:?}"), format!("{:?}", replayed.timing));
     }

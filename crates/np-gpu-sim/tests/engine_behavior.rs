@@ -32,7 +32,7 @@ fn one_warp_block(ops: impl FnOnce(&mut TraceBuilder)) -> BlockTrace {
     BlockTrace { warps: vec![b.finish()] }
 }
 
-fn run(blocks: Vec<BlockTrace>, block_size: u32) -> TimingReport {
+fn run(blocks: &[BlockTrace], block_size: u32) -> TimingReport {
     let d = dev();
     let total = blocks.len() as u64;
     simulate_blocks(&d, &occ(&d, block_size), blocks, total)
@@ -54,8 +54,8 @@ fn uncoalesced_loads_cost_more_issue_and_cycles_than_coalesced() {
             b.global(&a, 4, false);
         }
     });
-    let rc = run(vec![coalesced], 32);
-    let rs = run(vec![strided], 32);
+    let rc = run(&[coalesced], 32);
+    let rs = run(&[strided], 32);
     assert_eq!(rc.global_txns, 64);
     assert_eq!(rs.global_txns, 64 * 32);
     // With a single warp both runs are latency-dominated, so the
@@ -79,7 +79,7 @@ fn l2_absorbs_repeated_global_traffic() {
             b.global(&a, 4, false);
         }
     });
-    let r = run(vec![bt], 32);
+    let r = run(&[bt], 32);
     assert_eq!(r.l2_misses, 8, "only cold misses reach DRAM");
     assert_eq!(r.l2_hits, 56);
 }
@@ -97,7 +97,7 @@ fn memory_queue_overlaps_independent_loads() {
             }
         })
     };
-    let r = run(vec![mk(32)], 32);
+    let r = run(&[mk(32)], 32);
     let serial_estimate = 32 * d.global_latency as u64;
     assert!(
         r.cycles < serial_estimate,
@@ -123,7 +123,7 @@ fn barrier_drains_the_memory_queue() {
     b1.bar();
     b1.alu(1);
     let bt = BlockTrace { warps: vec![b0.finish(), b1.finish()] };
-    let r = run(vec![bt], 64);
+    let r = run(&[bt], 64);
     assert!(
         r.cycles >= d.global_latency as u64,
         "barrier must wait for the in-flight load: {}",
@@ -143,8 +143,8 @@ fn constant_serialization_costs_scale_with_distinct_words() {
             b.push_raw(WarpOp::ConstLoad { words: 32 });
         }
     });
-    let rb = run(vec![broadcast], 32);
-    let rd = run(vec![divergent], 32);
+    let rb = run(&[broadcast], 32);
+    let rd = run(&[divergent], 32);
     assert_eq!(rb.const_serializations, 0);
     assert_eq!(rd.const_serializations, 256 * 31);
     assert!(rd.cycles > rb.cycles * 3, "{} vs {}", rd.cycles, rb.cycles);
@@ -154,8 +154,8 @@ fn constant_serialization_costs_scale_with_distinct_words() {
 fn sfu_ops_cost_more_than_alu() {
     let alu = one_warp_block(|b| b.alu(512));
     let sfu = one_warp_block(|b| b.sfu(512));
-    let ra = run(vec![alu], 32);
-    let rs = run(vec![sfu], 32);
+    let ra = run(&[alu], 32);
+    let rs = run(&[sfu], 32);
     assert!(rs.cycles > 2 * ra.cycles, "sfu {} vs alu {}", rs.cycles, ra.cycles);
 }
 
@@ -167,7 +167,7 @@ fn texture_cache_hits_avoid_dram() {
             b.push_raw(WarpOp::TexLoad { lines: vec![0] });
         }
     });
-    let r = run(vec![bt], 32);
+    let r = run(&[bt], 32);
     assert_eq!(r.tex_misses, 1);
     assert_eq!(r.tex_hits, 31);
     assert_eq!(r.l2_misses, 1, "only the cold fill reaches L2/DRAM");
@@ -185,8 +185,8 @@ fn shared_replays_slow_the_block_down() {
             b.push_raw(WarpOp::SharedLoad { passes: 32 });
         }
     });
-    let rc = run(vec![clean], 32);
-    let rx = run(vec![conflicted], 32);
+    let rc = run(&[clean], 32);
+    let rx = run(&[conflicted], 32);
     assert_eq!(rx.shared_replays, 256 * 31);
     assert!(rx.cycles > rc.cycles * 2, "{} vs {}", rx.cycles, rc.cycles);
 }
@@ -206,8 +206,8 @@ fn stores_do_not_block_the_warp_but_loads_do() {
             b.global(&a, 4, false);
         }
     });
-    let rs = run(vec![stores], 32);
-    let rl = run(vec![loads], 32);
+    let rs = run(&[stores], 32);
+    let rl = run(&[loads], 32);
     assert!(
         rs.cycles < rl.cycles,
         "write-buffer stores ({}) should beat blocking loads ({})",
@@ -235,7 +235,7 @@ fn more_resident_blocks_speed_up_latency_bound_grids() {
     };
     let blocks: Vec<BlockTrace> = (0..8).map(|s| mk(s as u64)).collect();
     let occ_high = occ(&d, 32);
-    let r_high = simulate_blocks(&d, &occ_high, blocks.clone(), 8);
+    let r_high = simulate_blocks(&d, &occ_high, &blocks, 8);
     let occ_low = occupancy(
         &d,
         &KernelResources {
@@ -247,7 +247,7 @@ fn more_resident_blocks_speed_up_latency_bound_grids() {
     )
     .unwrap();
     assert_eq!(occ_low.blocks_per_smx, 1);
-    let r_low = simulate_blocks(&d, &occ_low, blocks, 8);
+    let r_low = simulate_blocks(&d, &occ_low, &blocks, 8);
     assert!(
         r_low.cycles > r_high.cycles,
         "1 block/SMX ({}) must be slower than 8 ({})",
