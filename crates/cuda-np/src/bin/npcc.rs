@@ -8,7 +8,7 @@
 //!   --slave-size N       threads per master group (default 4)
 //!   --np-type inter|intra  distribution scheme (default inter)
 //!   --device NAME|PATH   simulate on a registry device (gtx680, k20c,
-//!                        maxwell, small_test) or a JSON/TOML descriptor
+//!                        maxwell, small_test) or a JSON descriptor
 //!                        file (default gtx680); composes with --explain,
 //!                        --timeline, --check-races, --emit-trace, --replay
 //!   --list-devices       print the device registry (name, marketing name,
@@ -149,13 +149,6 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn np_type_str(t: NpType) -> &'static str {
-    match t {
-        NpType::InterWarp => "inter",
-        NpType::IntraWarp => "intra",
-    }
-}
-
 fn counter_cells(p: &ProfileCounters) -> String {
     format!(
         "{:>9} {:>7} {:>10} {:>9.3} {:>10} {:>12} {:>9} {:>8}",
@@ -261,7 +254,7 @@ fn explain(
     };
 
     for (i, e) in entries.iter().enumerate() {
-        let label = format!("{} s={}", np_type_str(e.np_type), e.slave_size);
+        let label = format!("{} s={}", e.np_type.keyword(), e.slave_size);
         match (&e.outcome, &e.profile) {
             (TuneOutcome::Ok { cycles }, Some(p)) => {
                 let mark = if winner_idx == Some(i) { "*" } else { " " };
@@ -275,7 +268,7 @@ fn explain(
     let best_entry = winner_idx.and_then(|i| entries.get(i));
     let best_p = best_entry.and_then(|e| e.profile.clone()).unwrap_or_default();
     let (w_type, w_size) = best_entry
-        .map(|e| (np_type_str(e.np_type), e.slave_size))
+        .map(|e| (e.np_type.keyword(), e.slave_size))
         .unwrap_or(("?", best.report.slave_size));
     eprintln!("npcc: winner {w_type} s={w_size} in {best_cycles} cycles");
     // Where the winner's cycles go (the flight-recorder attribution).

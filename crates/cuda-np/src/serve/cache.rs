@@ -39,7 +39,7 @@ pub fn cache_key(kernel_canon: &str, transform_config: &str, sim_config: &str) -
 }
 
 struct Entry {
-    payload: String,
+    payload: Vec<u8>,
     /// `fnv64` of `payload` at insert time.
     checksum: u64,
     hits: u64,
@@ -49,7 +49,7 @@ struct Entry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Lookup {
     /// Verified entry; the payload is byte-identical to what was inserted.
-    Hit(String),
+    Hit(Vec<u8>),
     Miss,
     /// The entry's bytes no longer match its checksum: it has been evicted
     /// and the caller must recompute (and re-insert).
@@ -101,7 +101,7 @@ impl Cache {
                 self.misses += 1;
                 Lookup::Miss
             }
-            Some(e) if fnv64(e.payload.as_bytes()) == e.checksum => {
+            Some(e) if fnv64(&e.payload) == e.checksum => {
                 e.hits += 1;
                 self.hits += 1;
                 Lookup::Hit(e.payload.clone())
@@ -117,14 +117,14 @@ impl Cache {
     }
 
     /// Insert (or replace) the payload for `key`, evicting FIFO when full.
-    pub fn insert(&mut self, key: CacheKey, payload: String) {
+    pub fn insert(&mut self, key: CacheKey, payload: Vec<u8>) {
         if self.map.contains_key(&key.0) {
             self.order.retain(|k| *k != key.0);
         } else if self.map.len() >= self.capacity {
             let oldest = self.order.remove(0);
             self.map.remove(&oldest);
         }
-        let checksum = fnv64(payload.as_bytes());
+        let checksum = fnv64(&payload);
         self.map.insert(key.0, Entry { payload, checksum, hits: 0 });
         self.order.push(key.0);
     }
@@ -153,10 +153,7 @@ impl Cache {
             return None;
         }
         let pos = nth % e.payload.len();
-        // Work in bytes; keep the String valid UTF-8 by staying ASCII.
-        let mut bytes = std::mem::take(&mut e.payload).into_bytes();
-        bytes[pos] = (bytes[pos] ^ byte_xor) & 0x7F;
-        e.payload = String::from_utf8(bytes).expect("ASCII flip keeps UTF-8 valid");
+        e.payload[pos] ^= byte_xor;
         Some(CacheKey(key))
     }
 
@@ -210,8 +207,8 @@ mod tests {
         let mut c = Cache::new(8);
         let k = cache_key("k", "t", "s");
         assert_eq!(c.lookup(k), Lookup::Miss);
-        c.insert(k, "{\"cycles\":42}".to_string());
-        assert_eq!(c.lookup(k), Lookup::Hit("{\"cycles\":42}".to_string()));
+        c.insert(k, b"{\"cycles\":42}".to_vec());
+        assert_eq!(c.lookup(k), Lookup::Hit(b"{\"cycles\":42}".to_vec()));
         assert_eq!(c.stats(), (1, 1, 0));
     }
 
@@ -219,13 +216,13 @@ mod tests {
     fn corruption_is_detected_evicted_and_recomputable() {
         let mut c = Cache::new(8);
         let k = cache_key("k", "t", "s");
-        c.insert(k, "{\"cycles\":42}".to_string());
+        c.insert(k, b"{\"cycles\":42}".to_vec());
         assert!(c.corrupt_nth(0, 0x41).is_some());
         assert_eq!(c.lookup(k), Lookup::CorruptEvicted, "bad bytes must never be served");
         assert_eq!(c.len(), 0, "the corrupt entry is gone");
         // Recompute path: a fresh insert serves verified again.
-        c.insert(k, "{\"cycles\":42}".to_string());
-        assert_eq!(c.lookup(k), Lookup::Hit("{\"cycles\":42}".to_string()));
+        c.insert(k, b"{\"cycles\":42}".to_vec());
+        assert_eq!(c.lookup(k), Lookup::Hit(b"{\"cycles\":42}".to_vec()));
         let (_, _, corrupt) = c.stats();
         assert_eq!(corrupt, 1);
     }
@@ -236,28 +233,28 @@ mod tests {
         let keys: Vec<CacheKey> =
             (0..3).map(|i| cache_key(&format!("k{i}"), "t", "s")).collect();
         for (i, k) in keys.iter().enumerate() {
-            c.insert(*k, format!("p{i}"));
+            c.insert(*k, format!("p{i}").into_bytes());
         }
         assert_eq!(c.len(), 2);
         assert_eq!(c.lookup(keys[0]), Lookup::Miss, "oldest entry evicted first");
-        assert_eq!(c.lookup(keys[2]), Lookup::Hit("p2".to_string()));
+        assert_eq!(c.lookup(keys[2]), Lookup::Hit(b"p2".to_vec()));
     }
 
     #[test]
     fn reinsert_refreshes_instead_of_duplicating() {
         let mut c = Cache::new(2);
         let k = cache_key("k", "t", "s");
-        c.insert(k, "v1".to_string());
-        c.insert(k, "v2".to_string());
+        c.insert(k, b"v1".to_vec());
+        c.insert(k, b"v2".to_vec());
         assert_eq!(c.len(), 1);
-        assert_eq!(c.lookup(k), Lookup::Hit("v2".to_string()));
+        assert_eq!(c.lookup(k), Lookup::Hit(b"v2".to_vec()));
     }
 
     #[test]
     fn index_json_is_deterministic_and_lists_entries() {
         let mut c = Cache::new(8);
-        c.insert(cache_key("a", "t", "s"), "pay-a".to_string());
-        c.insert(cache_key("b", "t", "s"), "pay-b".to_string());
+        c.insert(cache_key("a", "t", "s"), b"pay-a".to_vec());
+        c.insert(cache_key("b", "t", "s"), b"pay-b".to_vec());
         let a = c.index_json();
         assert_eq!(a, c.index_json());
         assert!(a.contains("\"entries\":2"), "{a}");

@@ -208,7 +208,7 @@ impl Request {
             Mode::Transform => format!(
                 "mode=transform;slave={};np={}",
                 self.slave_size,
-                np_type_str(self.np_type)
+                self.np_type.keyword()
             ),
             Mode::Tune if self.tune_policy.is_exhaustive() => "mode=tune".to_string(),
             Mode::Tune => format!("mode=tune;policy={}", self.tune_policy),
@@ -230,13 +230,6 @@ impl Request {
                 None => "default".to_string(),
             }
         )
-    }
-}
-
-fn np_type_str(t: NpType) -> &'static str {
-    match t {
-        NpType::InterWarp => "inter",
-        NpType::IntraWarp => "intra",
     }
 }
 
@@ -398,7 +391,7 @@ pub fn tune_json(p: &PolicyTuneResult, device: &str) -> String {
         "{{\"winner\":{{\"np_type\":\"{}\",\"slave_size\":{},\"cycles\":{}}},\
          \"policy\":{{\"name\":\"{}\",\"evaluated\":{},\"skipped\":{},\"fell_back\":{},\
          \"predicted_rank\":{}}},\"entries\":[",
-        r.best.report.np_type.map_or("?", np_type_str),
+        r.best.report.np_type.map_or("?", NpType::keyword),
         r.best.report.slave_size,
         r.best_report.cycles,
         escape(&p.policy.label()),
@@ -432,7 +425,7 @@ pub fn tune_json(p: &PolicyTuneResult, device: &str) -> String {
         };
         s.push_str(&format!(
             "{{\"np_type\":\"{}\",\"slave_size\":{},\"outcome\":{outcome}}}",
-            np_type_str(e.np_type),
+            e.np_type.keyword(),
             e.slave_size
         ));
     }

@@ -95,7 +95,7 @@ struct Inner {
     /// Signals workers: new job or drain started.
     wake: Condvar,
     cache: Mutex<Cache>,
-    /// Capture artifacts (hex-encoded `np-trace-v1` bytes) keyed by
+    /// Capture artifacts (`np-trace-v1` bytes) keyed by
     /// (kernel canon, transform config, grid) — the watchdog budget is
     /// deliberately *not* in the key, so a request differing only in its
     /// sim config replays the frozen interpretation instead of recomputing
@@ -453,7 +453,8 @@ fn compute_response(inner: &Inner, job: &Job, chaos: &ChaosPlan) -> Response {
                 inner.ev(&job.corr, Level::Debug, "req.cache", vec![kv("outcome", "hit")]);
                 let mut r = Response::new(id, Status::Ok);
                 r.cached = true;
-                r.payload = Some(payload);
+                // The verified bytes are the JSON text that was inserted.
+                r.payload = Some(String::from_utf8_lossy(&payload).into_owned());
                 return r;
             }
             Lookup::CorruptEvicted => {
@@ -483,7 +484,7 @@ fn compute_response(inner: &Inner, job: &Job, chaos: &ChaosPlan) -> Response {
         Ok(resp) => {
             if resp.status == Status::Ok && !chaos_taints_result {
                 if let Some(p) = &resp.payload {
-                    inner.cache.lock().unwrap().insert(key, p.clone());
+                    inner.cache.lock().unwrap().insert(key, p.as_bytes().to_vec());
                 }
             }
             match resp.status {
@@ -592,11 +593,7 @@ fn simulate(inner: &Inner, job: &Job, chaos: &ChaosPlan) -> Response {
             match capture_launch(&req.dev, &t.kernel, grid, &mut args, &sim) {
                 Ok((rep, cap)) => {
                     if chaos.inject.is_none() {
-                        inner
-                            .trace_cache
-                            .lock()
-                            .unwrap()
-                            .insert(tkey, hex_encode(&cap.encode()));
+                        inner.trace_cache.lock().unwrap().insert(tkey, cap.encode());
                     }
                     let mut r = Response::new(id, Status::Ok);
                     r.payload = Some(report_json(&rep, &req.device));
@@ -649,26 +646,6 @@ fn trace_key(req: &Request) -> CacheKey {
     )
 }
 
-/// Hex-encode capture bytes so they can live in the shared [`Cache`],
-/// whose payloads are `String`s (and whose chaos hook flips ASCII bytes).
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    s.as_bytes()
-        .chunks(2)
-        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).ok()?, 16).ok())
-        .collect()
-}
-
 /// Try to answer from the capture-artifact cache. `Some(Ok)` is a replayed
 /// report, `Some(Err)` a replayed terminal verdict (watchdog), `None`
 /// means interpret: a miss, a corrupt artifact (cache checksum *or* codec
@@ -680,17 +657,17 @@ fn replay_cached_trace(
     key: CacheKey,
     sim: &SimOptions,
 ) -> Option<Result<KernelReport, np_exec::ExecError>> {
-    let hex = match inner.trace_cache.lock().unwrap().lookup(key) {
-        Lookup::Hit(h) => h,
+    let bytes = match inner.trace_cache.lock().unwrap().lookup(key) {
+        Lookup::Hit(b) => b,
         Lookup::CorruptEvicted => {
             Metrics::bump(&inner.metrics.trace_corrupt_evicted);
             return None;
         }
         Lookup::Miss => return None,
     };
-    let cap = match hex_decode(&hex).and_then(|b| CapturedLaunch::decode(&b).ok()) {
-        Some(c) => c,
-        None => {
+    let cap = match CapturedLaunch::decode(&bytes) {
+        Ok(c) => c,
+        Err(_) => {
             // Passed the cache checksum but not the codec: a corrupt
             // insert. Evict so it cannot shadow the slot again.
             Metrics::bump(&inner.metrics.trace_corrupt_evicted);
@@ -873,14 +850,6 @@ __global__ void tmv(float* a, float* b, float* c, int w, int h) {
         let resp = submit_wait(&srv, &line("r1", ",\"device\":\"titan\""));
         assert_eq!(resp.status, Status::Rejected);
         assert!(resp.error.as_deref().unwrap_or("").contains("unknown device"), "{:?}", resp.error);
-    }
-
-    #[test]
-    fn hex_round_trips_and_rejects_junk() {
-        assert_eq!(hex_decode(&hex_encode(&[0, 1, 0xAB, 0xFF])), Some(vec![0, 1, 0xAB, 0xFF]));
-        assert_eq!(hex_decode(""), Some(vec![]));
-        assert_eq!(hex_decode("abc"), None, "odd length");
-        assert_eq!(hex_decode("zz"), None, "non-hex digits");
     }
 
     #[test]

@@ -76,8 +76,8 @@ proptest! {
     ) {
         let key = cache_key("k", "t", "s");
         let mut cache = Cache::new(8);
-        cache.insert(key, payload.clone());
-        prop_assert!(matches!(cache.lookup(key), Lookup::Hit(p) if p == payload));
+        cache.insert(key, payload.clone().into_bytes());
+        prop_assert!(matches!(cache.lookup(key), Lookup::Hit(p) if p == payload.as_bytes()));
 
         // Flip one byte in place (corrupt_nth targets payload bytes only).
         prop_assert!(cache.corrupt_nth(nth, xor).is_some());
@@ -88,8 +88,8 @@ proptest! {
         prop_assert!(matches!(cache.lookup(key), Lookup::Miss), "gone after eviction");
 
         // Recompute path: a fresh insert restores byte-identical service.
-        cache.insert(key, payload.clone());
-        prop_assert!(matches!(cache.lookup(key), Lookup::Hit(p) if p == payload));
+        cache.insert(key, payload.clone().into_bytes());
+        prop_assert!(matches!(cache.lookup(key), Lookup::Hit(p) if p == payload.as_bytes()));
     }
 
     /// The checksum itself is content-addressed: equal payloads hash equal,

@@ -40,7 +40,7 @@
 
 use crate::fault::{FaultKind, SimFault};
 use crate::machine::{ArrayBinding, Buffer, GlobalState};
-use crate::program::{BlockOp, Op, Program, Slot, BLOCK_IDX, SPECIALS, TID};
+use crate::program::{ArrayRef, BlockOp, Op, Program, Slot, BLOCK_IDX, SPECIALS, TID};
 use crate::value::{self, blend, bool_mask, lanes, Lanes, Mask, ValueError, FULL_MASK, LANES};
 use np_gpu_sim::config::DeviceConfig;
 use np_gpu_sim::mem::inject::{FaultInjector, InjectConfig, InjectSpace, Injection};
@@ -49,7 +49,6 @@ use np_gpu_sim::mem::LaneAddrs;
 use np_gpu_sim::racecheck::{RaceRecorder, RaceReport, RaceSpace};
 use np_gpu_sim::trace::{BlockTrace, ShflKind, TraceBuilder};
 use np_kernel_ir::expr::{BinOp, ShflMode};
-use np_kernel_ir::slots::{ArrayRef, InternedKernel};
 use np_kernel_ir::types::{Dim3, MemSpace, Scalar};
 
 /// Watchdog state: a per-launch budget of interpreted steps.
@@ -79,9 +78,9 @@ pub(crate) struct StoreRec {
 /// interns once per context.
 #[derive(Debug, Clone, Copy)]
 enum ArraySite {
-    /// Index into [`InternedKernel::shared`].
+    /// Index into [`Program::shared`].
     Shared(u32),
-    /// Index into [`InternedKernel::array_params`].
+    /// Index into [`Program::params`].
     GlobalParam(u32),
 }
 
@@ -93,10 +92,10 @@ impl ArraySite {
         }
     }
 
-    fn name(self, ik: &InternedKernel) -> &str {
+    fn name(self, prog: &Program) -> &str {
         match self {
-            ArraySite::Shared(i) => &ik.shared[i as usize].name,
-            ArraySite::GlobalParam(i) => &ik.array_params[i as usize].name,
+            ArraySite::Shared(i) => &prog.shared[i as usize].name,
+            ArraySite::GlobalParam(i) => &prog.params[i as usize].name,
         }
     }
 }
@@ -347,7 +346,7 @@ impl<'a> LaunchCtx<'a> {
     /// stops the load.
     fn inject(
         &mut self,
-        ik: &InternedKernel,
+        prog: &Program,
         (space, addr): (InjectSpace, u64),
         bits: &mut u32,
         at: &Index,
@@ -357,7 +356,7 @@ impl<'a> LaunchCtx<'a> {
         match self.injector.as_mut().and_then(|inj| inj.decide(space, addr)) {
             Some(Injection::BitFlip(b)) => *bits ^= 1 << b,
             Some(Injection::Fault) => {
-                return Err(SimFault::new(&ik.name, FaultKind::Injected { space, addr })
+                return Err(SimFault::new(&prog.name, FaultKind::Injected { space, addr })
                     .at_warp(at.warp)
                     .at_lane(lane)
                     .with_context(format!("load {}[{}]", site.0, site.1)))
@@ -372,7 +371,7 @@ impl<'a> LaunchCtx<'a> {
     /// at the second access's warp and lane.
     fn race_lanes(
         &mut self,
-        ik: &InternedKernel,
+        prog: &Program,
         site: ArraySite,
         at: &Index,
         write: bool,
@@ -387,13 +386,13 @@ impl<'a> LaunchCtx<'a> {
         if ids.len() <= slot {
             ids.resize(slot + 1, None);
         }
-        let id = *ids[slot].get_or_insert_with(|| rec.intern_id(site.name(ik)));
+        let id = *ids[slot].get_or_insert_with(|| rec.intern_id(site.name(prog)));
         for l in lanes(at.mask) {
             let thread = at.base + l as u32;
             let finding = rec.record_access_by_id(site.space(), id, at.idx[l], thread, write, pc);
             if let (true, Some(f)) = (*fatal, finding) {
                 return Err(SimFault::new(
-                    &ik.name,
+                    &prog.name,
                     FaultKind::RaceDetected { detail: f.to_string() },
                 )
                 .at_warp(at.warp)
@@ -438,21 +437,21 @@ impl<'a> LaunchCtx<'a> {
 }
 
 /// Wrap a lane-vector operation error into a fault at a known warp.
-fn vfault(ik: &InternedKernel, warp: u64, e: ValueError) -> SimFault {
+fn vfault(prog: &Program, warp: u64, e: ValueError) -> SimFault {
     let kind = if e.ill_typed {
         FaultKind::IllTyped { detail: e.msg }
     } else {
         FaultKind::InvalidOperation { detail: e.msg }
     };
-    let mut f = SimFault::new(&ik.name, kind).at_warp(warp);
+    let mut f = SimFault::new(&prog.name, kind).at_warp(warp);
     if let Some(l) = e.lane {
         f = f.at_lane(l);
     }
     f
 }
 
-fn ill_typed(ik: &InternedKernel, warp: u64, detail: String) -> SimFault {
-    SimFault::new(&ik.name, FaultKind::IllTyped { detail }).at_warp(warp)
+fn ill_typed(prog: &Program, warp: u64, detail: String) -> SimFault {
+    SimFault::new(&prog.name, FaultKind::IllTyped { detail }).at_warp(warp)
 }
 
 /// One warp's state: its value file and its per-thread arrays.
@@ -475,17 +474,17 @@ impl Warp {
     /// The type of the value in `slot`; a register no lane has assigned
     /// faults.
     #[inline(always)]
-    fn ty(&self, slot: Slot, ik: &InternedKernel) -> Result<Scalar, SimFault> {
+    fn ty(&self, slot: Slot, prog: &Program) -> Result<Scalar, SimFault> {
         match self.tags[slot as usize] {
             Some(t) => Ok(t),
-            None => Err(self.undeclared(slot, ik)),
+            None => Err(self.undeclared(slot, prog)),
         }
     }
 
     #[cold]
-    fn undeclared(&self, slot: Slot, ik: &InternedKernel) -> SimFault {
-        let name = ik.reg_names[slot as usize].clone();
-        SimFault::new(&ik.name, FaultKind::UndeclaredName { name })
+    fn undeclared(&self, slot: Slot, prog: &Program) -> SimFault {
+        let name = prog.reg_names[slot as usize].clone();
+        SimFault::new(&prog.name, FaultKind::UndeclaredName { name })
             .at_warp(self.gid)
             .with_context("use of undeclared scalar")
     }
@@ -498,22 +497,16 @@ impl Warp {
 
     /// Assign `src` to register `reg` under `mask`. A register takes its
     /// type from its first assignment, zero in the lanes outside the mask.
-    fn assign(
-        &mut self,
-        reg: Slot,
-        src: Slot,
-        mask: Mask,
-        ik: &InternedKernel,
-    ) -> Result<(), SimFault> {
-        let (r, ty) = (reg as usize, self.ty(src, ik)?);
+    fn assign(&mut self, reg: Slot, src: Slot, mask: Mask, prog: &Program) -> Result<(), SimFault> {
+        let (r, ty) = (reg as usize, self.ty(src, prog)?);
         let old = match self.tags[r] {
             Some(t) if t != ty => {
                 return Err(ill_typed(
-                    ik,
+                    prog,
                     self.gid,
                     format!("type mismatch in assignment: {t:?} = {ty:?}"),
                 )
-                .with_context(format!("assignment to {:?}", ik.reg_names[r])))
+                .with_context(format!("assignment to {:?}", prog.reg_names[r])))
             }
             Some(_) => self.bits[r],
             None => [0; LANES],
@@ -534,7 +527,7 @@ struct Frame {
 
 /// What a memory op touches besides its warp.
 struct Mem<'v, 'c, 'g> {
-    ik: &'v InternedKernel,
+    prog: &'v Program,
     ctx: &'c mut LaunchCtx<'g>,
     shared: &'v mut [Vec<u32>],
     layout: LocalLayout,
@@ -556,7 +549,7 @@ impl Index {
     /// out-of-bounds lane — and that lane's fault, which follows them.
     fn bounds(
         &self,
-        ik: &InternedKernel,
+        prog: &Program,
         (array, len): (&str, usize),
         space: MemSpace,
         write: bool,
@@ -564,7 +557,7 @@ impl Index {
         let (ty, idx, mask) = (self.ty, &self.idx, self.mask);
         if !matches!(ty, Scalar::I32 | Scalar::U32) {
             let detail = format!("index into {array:?} must be an integer, found {ty:?}");
-            return Err(ill_typed(ik, self.warp, detail).at_lane(mask.trailing_zeros() as usize));
+            return Err(ill_typed(prog, self.warp, detail).at_lane(mask.trailing_zeros() as usize));
         }
         // Every lane in bounds (the common case) needs no per-lane mask.
         let len32 = u32::try_from(len).unwrap_or(u32::MAX);
@@ -578,7 +571,7 @@ impl Index {
         };
         let index = if ty == Scalar::I32 { idx[lane] as i32 as i64 } else { idx[lane] as i64 };
         let kind = FaultKind::OutOfBounds { space, array: array.to_string(), index, len, write };
-        let fault = SimFault::new(&ik.name, kind).at_warp(self.warp).at_lane(lane);
+        let fault = SimFault::new(&prog.name, kind).at_warp(self.warp).at_lane(lane);
         Ok((mask & ((1 << lane) - 1), Some(Box::new(fault))))
     }
 
@@ -587,16 +580,16 @@ impl Index {
     }
 }
 
-fn unknown_array(ik: &InternedKernel, warp: u64, u: u32, what: &str) -> SimFault {
-    let name = ik.unknown_names[u as usize].clone();
-    SimFault::new(&ik.name, FaultKind::UndeclaredName { name })
+fn unknown_array(prog: &Program, warp: u64, u: u32, what: &str) -> SimFault {
+    let name = prog.unknown_names[u as usize].clone();
+    SimFault::new(&prog.name, FaultKind::UndeclaredName { name })
         .at_warp(warp)
         .with_context(format!("{what} unknown array"))
 }
 
 impl Warp {
-    fn index(&self, idx: Slot, mask: Mask, ik: &InternedKernel) -> Result<Index, SimFault> {
-        let ty = self.ty(idx, ik)?;
+    fn index(&self, idx: Slot, mask: Mask, prog: &Program) -> Result<Index, SimFault> {
+        let ty = self.ty(idx, prog)?;
         Ok(Index { ty, idx: self.bits[idx as usize], mask, warp: self.gid, base: self.base })
     }
 
@@ -610,14 +603,14 @@ impl Warp {
         mask: Mask,
         bits: &mut Lanes,
     ) -> Result<Scalar, SimFault> {
-        let ik = m.ik;
-        let at = self.index(idx, mask, ik)?;
+        let prog = m.prog;
+        let at = self.index(idx, mask, prog)?;
         let inject = m.ctx.injector.is_some();
         let ty = match array {
             ArrayRef::Shared(s) => {
-                let d = &ik.shared[s as usize];
+                let d = &prog.shared[s as usize];
                 let (ok, oob) =
-                    at.bounds(ik, (&d.name, d.len as usize), MemSpace::Shared, false)?;
+                    at.bounds(prog, (&d.name, d.len as usize), MemSpace::Shared, false)?;
                 let mut addrs: LaneAddrs = [None; LANES];
                 for l in lanes(ok) {
                     let addr = at.addr(d.byte_offset as u64, l);
@@ -625,17 +618,18 @@ impl Warp {
                     bits[l] = m.shared[s as usize][at.idx[l] as usize];
                     if inject {
                         let (space, site) = (InjectSpace::Shared, (d.name.as_str(), at.idx[l]));
-                        m.ctx.inject(ik, (space, addr), &mut bits[l], &at, l, site)?;
+                        m.ctx.inject(prog, (space, addr), &mut bits[l], &at, l, site)?;
                     }
                 }
                 oob.map_or(Ok(()), |f| Err(*f))?;
-                m.ctx.race_lanes(ik, ArraySite::Shared(s), &at, false)?;
+                m.ctx.race_lanes(prog, ArraySite::Shared(s), &at, false)?;
                 self.builder.shared(&addrs, false);
                 d.ty
             }
             ArrayRef::Local(s) => {
-                let d = &ik.local[s as usize];
-                let (ok, oob) = at.bounds(ik, (&d.name, d.len as usize), MemSpace::Local, false)?;
+                let d = &prog.local[s as usize];
+                let (ok, oob) =
+                    at.bounds(prog, (&d.name, d.len as usize), MemSpace::Local, false)?;
                 let mut offsets = [None; LANES];
                 for l in lanes(ok) {
                     let off = d.byte_offset + at.idx[l] * 4;
@@ -645,7 +639,7 @@ impl Warp {
                     // skips them.
                     if inject && !d.in_registers {
                         let (space, site) = (InjectSpace::Local, (d.name.as_str(), at.idx[l]));
-                        m.ctx.inject(ik, (space, off as u64), &mut bits[l], &at, l, site)?;
+                        m.ctx.inject(prog, (space, off as u64), &mut bits[l], &at, l, site)?;
                     }
                 }
                 oob.map_or(Ok(()), |f| Err(*f))?;
@@ -657,20 +651,20 @@ impl Warp {
                 d.ty
             }
             ArrayRef::Param(p) => {
-                let (name, pi) = (ik.array_params[p as usize].name.as_str(), p as usize);
+                let (name, pi) = (prog.params[p as usize].name.as_str(), p as usize);
                 let binding = m.ctx.mem.binding(pi);
                 let (ty, len) = m.ctx.mem.buf_ty_len(pi);
-                let (ok, oob) = at.bounds(ik, (name, len), binding.space, false)?;
+                let (ok, oob) = at.bounds(prog, (name, len), binding.space, false)?;
                 let mut addrs: LaneAddrs = [None; LANES];
                 lanes(ok).for_each(|l| addrs[l] = Some(at.addr(binding.base_addr, l)));
                 m.ctx.mem.load_lanes(pi, &at.idx, ok, bits);
                 oob.map_or(Ok(()), |f| Err(*f))?;
                 if binding.space == MemSpace::Global {
-                    m.ctx.race_lanes(ik, ArraySite::GlobalParam(p), &at, false)?;
+                    m.ctx.race_lanes(prog, ArraySite::GlobalParam(p), &at, false)?;
                 }
                 for l in lanes(if inject { mask } else { 0 }) {
                     let (space, addr) = (InjectSpace::Global, at.addr(binding.base_addr, l));
-                    m.ctx.inject(ik, (space, addr), &mut bits[l], &at, l, (name, at.idx[l]))?;
+                    m.ctx.inject(prog, (space, addr), &mut bits[l], &at, l, (name, at.idx[l]))?;
                 }
                 match binding.space {
                     MemSpace::Global => self.builder.global(&addrs, 4, false),
@@ -682,7 +676,7 @@ impl Warp {
                 }
                 ty
             }
-            ArrayRef::Unknown(u) => return Err(unknown_array(ik, at.warp, u, "load from")),
+            ArrayRef::Unknown(u) => return Err(unknown_array(prog, at.warp, u, "load from")),
         };
         if ty == Scalar::Bool {
             *bits = bits.map(|b| (b != 0) as u32);
@@ -698,37 +692,39 @@ impl Warp {
         val: Slot,
         mask: Mask,
     ) -> Result<(), SimFault> {
-        let ik = m.ik;
-        let at = self.index(idx, mask, ik)?;
-        let (tv, val) = (self.ty(val, ik)?, self.bits[val as usize]);
+        let prog = m.prog;
+        let at = self.index(idx, mask, prog)?;
+        let (tv, val) = (self.ty(val, prog)?, self.bits[val as usize]);
         let mismatch = |space: &str, array: &str, want: Scalar| {
             let detail = format!(
                 "store type mismatch into {space} {array:?}: array is {want:?}, value is {tv:?}"
             );
-            Err(ill_typed(ik, at.warp, detail))
+            Err(ill_typed(prog, at.warp, detail))
         };
         match array {
             ArrayRef::Shared(s) => {
-                let d = &ik.shared[s as usize];
+                let d = &prog.shared[s as usize];
                 if tv != d.ty {
                     return mismatch("shared", &d.name, d.ty);
                 }
-                let (ok, oob) = at.bounds(ik, (&d.name, d.len as usize), MemSpace::Shared, true)?;
+                let (ok, oob) =
+                    at.bounds(prog, (&d.name, d.len as usize), MemSpace::Shared, true)?;
                 let mut addrs: LaneAddrs = [None; LANES];
                 for l in lanes(ok) {
                     addrs[l] = Some(at.addr(d.byte_offset as u64, l));
                     m.shared[s as usize][at.idx[l] as usize] = val[l];
                 }
                 oob.map_or(Ok(()), |f| Err(*f))?;
-                m.ctx.race_lanes(ik, ArraySite::Shared(s), &at, true)?;
+                m.ctx.race_lanes(prog, ArraySite::Shared(s), &at, true)?;
                 self.builder.shared(&addrs, true);
             }
             ArrayRef::Local(s) => {
-                let d = &ik.local[s as usize];
+                let d = &prog.local[s as usize];
                 if tv != d.ty {
                     return mismatch("local", &d.name, d.ty);
                 }
-                let (ok, oob) = at.bounds(ik, (&d.name, d.len as usize), MemSpace::Local, true)?;
+                let (ok, oob) =
+                    at.bounds(prog, (&d.name, d.len as usize), MemSpace::Local, true)?;
                 let mut offsets = [None; LANES];
                 for l in lanes(ok) {
                     offsets[l] = Some(d.byte_offset + at.idx[l] * 4);
@@ -742,20 +738,20 @@ impl Warp {
                 }
             }
             ArrayRef::Param(p) => {
-                let (name, pi) = (ik.array_params[p as usize].name.as_str(), p as usize);
+                let (name, pi) = (prog.params[p as usize].name.as_str(), p as usize);
                 let binding = m.ctx.mem.binding(pi);
                 if binding.space != MemSpace::Global {
                     let space = binding.space;
                     let detail =
                         format!("stores are only legal to global memory ({name:?} is {space:?})");
                     let kind = FaultKind::InvalidOperation { detail };
-                    return Err(SimFault::new(&ik.name, kind).at_warp(at.warp));
+                    return Err(SimFault::new(&prog.name, kind).at_warp(at.warp));
                 }
                 let (buf_ty, len) = m.ctx.mem.buf_ty_len(pi);
                 if tv != buf_ty {
                     return mismatch("global", name, buf_ty);
                 }
-                let (ok, oob) = at.bounds(ik, (name, len), MemSpace::Global, true)?;
+                let (ok, oob) = at.bounds(prog, (name, len), MemSpace::Global, true)?;
                 let mut addrs: LaneAddrs = [None; LANES];
                 let step = m.ctx.step;
                 for l in lanes(ok) {
@@ -763,10 +759,10 @@ impl Warp {
                     m.ctx.mem.store_bits(pi, at.idx[l] as usize, val[l], step);
                 }
                 oob.map_or(Ok(()), |f| Err(*f))?;
-                m.ctx.race_lanes(ik, ArraySite::GlobalParam(p), &at, true)?;
+                m.ctx.race_lanes(prog, ArraySite::GlobalParam(p), &at, true)?;
                 self.builder.global(&addrs, 4, true);
             }
-            ArrayRef::Unknown(u) => return Err(unknown_array(ik, at.warp, u, "store to")),
+            ArrayRef::Unknown(u) => return Err(unknown_array(prog, at.warp, u, "store to")),
         }
         Ok(())
     }
@@ -802,11 +798,11 @@ fn fold_uniform(
     t: Mask,
     mask: Mask,
     wid: u64,
-    ik: &InternedKernel,
+    prog: &Program,
 ) -> Result<(), SimFault> {
     let divergence = |detail: &str| {
         SimFault::new(
-            &ik.name,
+            &prog.name,
             FaultKind::BarrierDivergence {
                 detail: format!("barrier under divergent control flow ({detail})"),
             },
@@ -826,7 +822,6 @@ fn fold_uniform(
 /// One block worker's interpreter, reused for every block it runs.
 pub(crate) struct Vm<'p> {
     prog: &'p Program,
-    ik: &'p InternedKernel,
     dev: &'p DeviceConfig,
     layout: LocalLayout,
     warps: Vec<Warp>,
@@ -835,15 +830,10 @@ pub(crate) struct Vm<'p> {
 }
 
 impl<'p> Vm<'p> {
-    pub fn new(
-        prog: &'p Program,
-        ik: &'p InternedKernel,
-        dev: &'p DeviceConfig,
-        local_bytes_per_thread: u32,
-    ) -> Self {
-        let dim = ik.block_dim;
+    pub fn new(prog: &'p Program, dev: &'p DeviceConfig, local_bytes_per_thread: u32) -> Self {
+        let dim = prog.block_dim;
         let n_threads = dim.count() as usize;
-        let specials = prog.n_regs;
+        let specials = prog.reg_names.len();
         let consts = specials + SPECIALS;
         let warps = (0..n_threads.div_ceil(LANES))
             .map(|w| {
@@ -864,7 +854,7 @@ impl<'p> Vm<'p> {
                 Warp {
                     bits,
                     tags,
-                    local: ik.local.iter().map(|d| vec![0; d.len as usize * LANES]).collect(),
+                    local: prog.local.iter().map(|d| vec![0; d.len as usize * LANES]).collect(),
                     exist: if live == LANES { FULL_MASK } else { (1 << live) - 1 },
                     gid: 0,
                     base: (w * LANES) as u32,
@@ -874,13 +864,12 @@ impl<'p> Vm<'p> {
             .collect();
         Vm {
             prog,
-            ik,
             dev,
             layout: LocalLayout {
-                bytes_per_thread: local_bytes_per_thread.max(ik.local_decl_bytes).max(1),
+                bytes_per_thread: local_bytes_per_thread.max(prog.local_decl_bytes).max(1),
             },
             warps,
-            shared: ik.shared.iter().map(|d| vec![0; d.len as usize]).collect(),
+            shared: prog.shared.iter().map(|d| vec![0; d.len as usize]).collect(),
             frames: Vec::new(),
         }
     }
@@ -894,11 +883,11 @@ impl<'p> Vm<'p> {
         grid_dim: Dim3,
         first_warp_global_id: u64,
     ) -> Result<BlockTrace, SimFault> {
-        let ik = self.ik;
+        let prog = self.prog;
         // An invalid declaration space faults before anything executes.
-        if let Some((name, other)) = &ik.bad_decl {
+        if let Some((name, other)) = &prog.bad_decl {
             return Err(SimFault::new(
-                &ik.name,
+                &prog.name,
                 FaultKind::InvalidOperation {
                     detail: format!("cannot declare array {name:?} in {other:?} space"),
                 },
@@ -906,7 +895,7 @@ impl<'p> Vm<'p> {
         }
         self.shared.iter_mut().for_each(|a| a.fill(0));
         self.frames.clear();
-        let (n_regs, dev) = (self.prog.n_regs, self.dev);
+        let (n_regs, dev) = (prog.reg_names.len(), self.dev);
         for (w, warp) in self.warps.iter_mut().enumerate() {
             warp.tags[..n_regs].fill(None);
             warp.local.iter_mut().for_each(|a| a.fill(0));
@@ -916,7 +905,7 @@ impl<'p> Vm<'p> {
             warp.builder = TraceBuilder::new(dev.txn_bytes, dev.l1_line);
         }
         let block_linear = block_idx.1 as u64 * grid_dim.x as u64 + block_idx.0 as u64;
-        ctx.race_begin_block(block_linear, ik.block_dim.count() as u32);
+        ctx.race_begin_block(block_linear, prog.block_dim.count() as u32);
         let mut bp = 0;
         while let Some(&op) = self.prog.block.get(bp) {
             bp += 1;
@@ -927,20 +916,20 @@ impl<'p> Vm<'p> {
                     }
                 }
                 BlockOp::Sync => {
-                    ctx.tick(&ik.name)?;
+                    ctx.tick(&prog.name)?;
                     ctx.race_barrier_all();
                     self.warps.iter_mut().for_each(|w| w.builder.bar());
                 }
                 BlockOp::Cond { start, end, cond, else_at } => {
-                    ctx.tick(&ik.name)?;
+                    ctx.tick(&prog.name)?;
                     let mut result = None;
                     for w in 0..self.warps.len() {
                         self.run_warp(w, start, end, ctx)?;
                         let warp = &self.warps[w];
-                        let ty = warp.ty(cond, ik)?;
+                        let ty = warp.ty(cond, prog)?;
                         let t = value::true_mask(ty, &warp.bits[cond as usize], warp.exist)
-                            .map_err(|e| vfault(ik, warp.gid, e))?;
-                        fold_uniform(&mut result, t, warp.exist, warp.gid, ik)?;
+                            .map_err(|e| vfault(prog, warp.gid, e))?;
+                        fold_uniform(&mut result, t, warp.exist, warp.gid, prog)?;
                     }
                     if !result.unwrap_or(false) {
                         bp = else_at as usize;
@@ -966,24 +955,26 @@ impl<'p> Vm<'p> {
         end: u32,
         ctx: &mut LaunchCtx,
     ) -> Result<(), SimFault> {
-        let Vm { prog, ik, warps, shared, frames, layout, .. } = self;
-        let (ops, ik) = (&prog.ops[..end as usize], *ik);
+        let Vm { prog, warps, shared, frames, layout, .. } = self;
+        let (ops, prog) = (&prog.ops[..end as usize], *prog);
         let warp = &mut warps[w];
-        let mut m = Mem { ik, ctx, shared, layout: *layout };
+        let mut m = Mem { prog, ctx, shared, layout: *layout };
         let mut mask = warp.exist;
         let mut pc = start as usize;
         while let Some(&op) = ops.get(pc) {
             pc += 1;
             let wid = warp.gid;
             match op {
-                Op::Tick => m.ctx.tick(&ik.name)?,
+                Op::Tick => m.ctx.tick(&prog.name)?,
                 Op::CheckReg { reg } => {
-                    warp.ty(reg, ik)?;
+                    warp.ty(reg, prog)?;
                 }
                 Op::UnknownParam { name } => {
                     return Err(SimFault::new(
-                        &ik.name,
-                        FaultKind::UndeclaredName { name: ik.unknown_names[name as usize].clone() },
+                        &prog.name,
+                        FaultKind::UndeclaredName {
+                            name: prog.unknown_names[name as usize].clone(),
+                        },
                     )
                     .at_warp(wid)
                     .with_context("parameter is not a bound scalar"))
@@ -994,36 +985,36 @@ impl<'p> Vm<'p> {
                     } else {
                         warp.builder.alu(1);
                     }
-                    let ty = warp.ty(a, ik)?;
+                    let ty = warp.ty(a, prog)?;
                     let mut r = [0; LANES];
                     value::unary(op, ty, &warp.bits[a as usize], mask, &mut r)
-                        .map_err(|e| vfault(ik, wid, e))?;
+                        .map_err(|e| vfault(prog, wid, e))?;
                     warp.put(dst, ty, r);
                 }
                 Op::Binary { op, dst, a, b } => {
                     warp.builder.alu(1);
-                    let a = (warp.ty(a, ik)?, &warp.bits[a as usize]);
-                    let b = (warp.ty(b, ik)?, &warp.bits[b as usize]);
+                    let a = (warp.ty(a, prog)?, &warp.bits[a as usize]);
+                    let b = (warp.ty(b, prog)?, &warp.bits[b as usize]);
                     let mut r = [0; LANES];
                     let ty =
-                        value::binary(op, a, b, mask, &mut r).map_err(|e| vfault(ik, wid, e))?;
+                        value::binary(op, a, b, mask, &mut r).map_err(|e| vfault(prog, wid, e))?;
                     warp.put(dst, ty, r);
                 }
                 Op::Select { dst, c, a, b } => {
                     warp.builder.alu(1);
-                    let (tc, ta, tb) = (warp.ty(c, ik)?, warp.ty(a, ik)?, warp.ty(b, ik)?);
+                    let (tc, ta, tb) = (warp.ty(c, prog)?, warp.ty(a, prog)?, warp.ty(b, prog)?);
                     let t = value::true_mask(tc, &warp.bits[c as usize], mask)
-                        .map_err(|e| vfault(ik, wid, e))?;
+                        .map_err(|e| vfault(prog, wid, e))?;
                     if ta != tb {
                         let detail = format!("type mismatch in assignment: {tb:?} = {ta:?}");
-                        return Err(ill_typed(ik, wid, detail).with_context("select arms"));
+                        return Err(ill_typed(prog, wid, detail).with_context("select arms"));
                     }
                     let r = blend(t, &warp.bits[a as usize], &warp.bits[b as usize]);
                     warp.put(dst, ta, r);
                 }
                 Op::Cast { ty, dst, a } => {
                     warp.builder.alu(1);
-                    let from = warp.ty(a, ik)?;
+                    let from = warp.ty(a, prog)?;
                     let r = value::cast(from, &warp.bits[a as usize], ty, mask);
                     warp.put(dst, ty, r);
                 }
@@ -1034,12 +1025,12 @@ impl<'p> Vm<'p> {
                         ShflMode::Up => ShflKind::Up,
                         ShflMode::Down => ShflKind::Down,
                     });
-                    let (tv, tl) = (warp.ty(value, ik)?, warp.ty(lane, ik)?);
+                    let (tv, tl) = (warp.ty(value, prog)?, warp.ty(lane, prog)?);
                     if !(width.is_power_of_two() && width as usize <= LANES) {
                         let detail =
                             format!("__shfl width must be a power of two in [1, 32], got {width}");
                         return Err(SimFault::new(
-                            &ik.name,
+                            &prog.name,
                             FaultKind::InvalidOperation { detail },
                         )
                         .at_warp(wid));
@@ -1047,7 +1038,7 @@ impl<'p> Vm<'p> {
                     if !matches!(tl, Scalar::I32 | Scalar::U32) {
                         let detail =
                             format!("__shfl lane argument must be an integer, found {tl:?}");
-                        return Err(ill_typed(ik, wid, detail).at_lane(0));
+                        return Err(ill_typed(prog, wid, detail).at_lane(0));
                     }
                     let r = shfl(
                         mode,
@@ -1066,20 +1057,20 @@ impl<'p> Vm<'p> {
                 }
                 Op::Store { array, idx, value } => warp.store(&mut m, array, idx, value, mask)?,
                 Op::Decl { reg, ty, src } => {
-                    let got = warp.ty(src, ik)?;
+                    let got = warp.ty(src, prog)?;
                     if got != ty {
-                        let name = &ik.reg_names[reg as usize];
+                        let name = &prog.reg_names[reg as usize];
                         let detail = format!(
                             "initializer type mismatch for {name:?}: declared {ty:?}, got {got:?}"
                         );
-                        return Err(ill_typed(ik, wid, detail));
+                        return Err(ill_typed(prog, wid, detail));
                     }
-                    warp.assign(reg, src, mask, ik)?;
+                    warp.assign(reg, src, mask, prog)?;
                 }
-                Op::Assign { reg, src } => warp.assign(reg, src, mask, ik)?,
+                Op::Assign { reg, src } => warp.assign(reg, src, mask, prog)?,
                 Op::If { cond, else_pc } => {
-                    let t = value::true_mask(warp.ty(cond, ik)?, &warp.bits[cond as usize], mask)
-                        .map_err(|e| vfault(ik, wid, e))?;
+                    let t = value::true_mask(warp.ty(cond, prog)?, &warp.bits[cond as usize], mask)
+                        .map_err(|e| vfault(prog, wid, e))?;
                     let e = mask & !t;
                     // Both sides populated: the warp serializes through
                     // each path.
@@ -1114,10 +1105,11 @@ impl<'p> Vm<'p> {
                 Op::Loop => frames.push(Frame { saved: mask, other: 0, flag: false }),
                 Op::LoopTest { var, bound, exit_pc } => {
                     warp.builder.alu(1);
-                    let a = (warp.ty(var, ik)?, &warp.bits[var as usize]);
-                    let b = (warp.ty(bound, ik)?, &warp.bits[bound as usize]);
+                    let a = (warp.ty(var, prog)?, &warp.bits[var as usize]);
+                    let b = (warp.ty(bound, prog)?, &warp.bits[bound as usize]);
                     let mut c = [0; LANES];
-                    value::binary(BinOp::Lt, a, b, mask, &mut c).map_err(|e| vfault(ik, wid, e))?;
+                    value::binary(BinOp::Lt, a, b, mask, &mut c)
+                        .map_err(|e| vfault(prog, wid, e))?;
                     let active = bool_mask(&c, mask);
                     if active == 0 {
                         pc = exit_pc as usize;
@@ -1136,11 +1128,11 @@ impl<'p> Vm<'p> {
                 }
                 Op::LoopStep { var, step, head_pc } => {
                     warp.builder.alu(1);
-                    let a = (warp.ty(var, ik)?, &warp.bits[var as usize]);
-                    let b = (warp.ty(step, ik)?, &warp.bits[step as usize]);
+                    let a = (warp.ty(var, prog)?, &warp.bits[var as usize]);
+                    let b = (warp.ty(step, prog)?, &warp.bits[step as usize]);
                     let mut r = [0; LANES];
                     let ty = value::binary(BinOp::Add, a, b, mask, &mut r)
-                        .map_err(|e| vfault(ik, wid, e))?;
+                        .map_err(|e| vfault(prog, wid, e))?;
                     let v = blend(mask, &r, &warp.bits[var as usize]);
                     warp.put(var, ty, v);
                     pc = head_pc as usize;

@@ -1,6 +1,5 @@
-//! Kernel launching: binds arguments, checks occupancy, streams block
-//! traces from the interpreter into the timing engine, and packages the
-//! result.
+//! Kernel launching: binds arguments, checks occupancy, interprets the
+//! launch into a [`CapturedLaunch`] and builds its report by replaying it.
 //!
 //! ## Parallel per-block interpretation
 //!
@@ -42,7 +41,6 @@ use crate::program::Program;
 use crate::resources::estimate_resources;
 use np_gpu_sim::capture::CapturedLaunch;
 use np_gpu_sim::config::DeviceConfig;
-use np_gpu_sim::engine::simulate_blocks;
 use np_gpu_sim::mem::inject::InjectConfig;
 use np_gpu_sim::occupancy::{occupancy, KernelResources, Occupancy};
 use np_gpu_sim::profile::ProfileReport;
@@ -53,7 +51,6 @@ use np_gpu_sim::replay::ReplayError;
 use np_gpu_sim::stats::TimingReport;
 use np_gpu_sim::trace::BlockTrace;
 use np_kernel_ir::kernel::Kernel;
-use np_kernel_ir::slots::InternedKernel;
 use np_kernel_ir::types::Dim3;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -281,6 +278,9 @@ fn device_event(dev: &DeviceConfig) {
 /// `block_dim` supplies the block shape. Buffers move out of `args` during
 /// execution and are returned (with stores applied) on completion.
 ///
+/// The report is [`capture_launch`]'s: the launch is interpreted into a
+/// capture and timed by replaying it, and only the capture is dropped.
+///
 /// Kernel contract violations (out-of-bounds accesses, races under
 /// [`RaceCheckMode::Fatal`], divergent barriers, watchdog timeouts, injected
 /// faults)
@@ -294,29 +294,14 @@ pub fn launch(
     opts: &SimOptions,
 ) -> Result<KernelReport, ExecError> {
     let _obs = np_obs::span("exec.launch");
-    device_event(dev);
-    let (run, resources, occ) = interpret_launch(dev, kernel, grid, args, opts)?;
-    let timing = {
-        let _t = np_obs::span("exec.timing");
-        simulate_blocks(dev, &occ, &run.traces, grid.count())
-    };
-    Ok(KernelReport {
-        kernel_name: kernel.name.clone(),
-        cycles: timing.cycles,
-        time_us: dev.cycles_to_us(timing.cycles),
-        timing,
-        occupancy: occ,
-        resources,
-        profile: run.profile,
-        race: run.race,
-    })
+    Ok(interpret_and_report(dev, kernel, grid, args, opts)?.0)
 }
 
 /// Run `kernel` once and freeze its interpretation into a replayable
 /// [`CapturedLaunch`] alongside the usual report. The report is built *by
-/// replaying the capture*, so `capture_launch` + [`replay_launch`] is
-/// byte-identical to [`launch`] by construction on the capture side, and
-/// the equivalence suites gate the launch side.
+/// replaying the capture*, as [`launch`]'s is, so [`launch`],
+/// `capture_launch` and a [`replay_launch`] of the capture on the same
+/// device report byte-identically by construction.
 ///
 /// Faulting launches return `Err` and produce no artifact (the fault is
 /// the outcome; buffers still come back with partial stores applied, as
@@ -329,30 +314,7 @@ pub fn capture_launch(
     opts: &SimOptions,
 ) -> Result<(KernelReport, CapturedLaunch), ExecError> {
     let _obs = np_obs::span("exec.capture");
-    device_event(dev);
-    let (run, resources, _occ) = interpret_launch(dev, kernel, grid, args, opts)?;
-    let total_blocks = grid.count();
-    let sim_blocks = run.traces.len() as u64;
-    let cap = CapturedLaunch {
-        kernel_name: kernel.name.clone(),
-        grid: [grid.x, grid.y, grid.z],
-        block_dim: [kernel.block_dim.x, kernel.block_dim.y, kernel.block_dim.z],
-        total_blocks,
-        sim_blocks,
-        max_blocks: opts.max_blocks,
-        txn_bytes: dev.txn_bytes,
-        l1_line: dev.l1_line,
-        resources,
-        race_mode: opts.check_races,
-        total_steps: run.steps,
-        race: run.race,
-        blocks: run.traces,
-    };
-    let report = {
-        let _r = np_obs::span("exec.replay");
-        replay_report(dev, &cap)?
-    };
-    Ok((report, cap))
+    interpret_and_report(dev, kernel, grid, args, opts)
 }
 
 /// Re-time a capture under `opts` without re-interpreting. The
@@ -398,9 +360,9 @@ pub fn replay_launch(
     replay_report(dev, cap)
 }
 
-/// Time `cap` on `dev` and build its report. [`capture_launch`] and
-/// [`replay_launch`] both report through here, so a capture's report and
-/// any later replay of it on the same device are byte-identical.
+/// Time `cap` on `dev` and build its report: the one place a
+/// [`KernelReport`] is made, so every launch, capture and replay of the
+/// same interpretation on the same device reports the same bytes.
 fn replay_report(dev: &DeviceConfig, cap: &CapturedLaunch) -> Result<KernelReport, ExecError> {
     let replayed = np_gpu_sim::replay::replay(dev, cap).map_err(ExecError::Replay)?;
     Ok(KernelReport {
@@ -415,32 +377,49 @@ fn replay_report(dev: &DeviceConfig, cap: &CapturedLaunch) -> Result<KernelRepor
     })
 }
 
-/// Shared front half of [`launch`] and [`capture_launch`]: bind, intern,
-/// interpret (parallel when possible), unbind — everything up to but not
-/// including the timing engine. Counts one interpretation on the probe.
+/// The body of [`launch`] and [`capture_launch`]: interpret once into a
+/// capture, then report by replaying it.
+fn interpret_and_report(
+    dev: &DeviceConfig,
+    kernel: &Kernel,
+    grid: Dim3,
+    args: &mut Args,
+    opts: &SimOptions,
+) -> Result<(KernelReport, CapturedLaunch), ExecError> {
+    device_event(dev);
+    let cap = interpret_launch(dev, kernel, grid, args, opts)?;
+    let report = {
+        let _r = np_obs::span("exec.replay");
+        replay_report(dev, &cap)?
+    };
+    Ok((report, cap))
+}
+
+/// Bind, lower, interpret (parallel when possible) and unbind: everything
+/// up to but not including the timing engine, frozen into a capture.
+/// Counts one interpretation on the probe.
 fn interpret_launch(
     dev: &DeviceConfig,
     kernel: &Kernel,
     grid: Dim3,
     args: &mut Args,
     opts: &SimOptions,
-) -> Result<(InterpRun, KernelResources, Occupancy), ExecError> {
+) -> Result<CapturedLaunch, ExecError> {
+    if grid.z != 1 {
+        return Err(ExecError::Launch(format!(
+            "grid {}x{}x{}: kernels have no blockIdx.z, so grids must be 1 deep",
+            grid.x, grid.y, grid.z
+        )));
+    }
     let resources = estimate_resources(kernel, dev.max_registers_per_thread);
-    let occ = occupancy(dev, &resources).map_err(|e| ExecError::Launch(e.to_string()))?;
+    occupancy(dev, &resources).map_err(|e| ExecError::Launch(e.to_string()))?;
 
     let mut globals = GlobalState::bind(kernel, args)?;
-
-    // All name resolution happens once, here: the interpreter itself works
-    // over dense slot indices.
-    let ik = InternedKernel::from_kernel(kernel);
 
     let total_blocks = grid.count();
     let sim_blocks = opts.max_blocks.map_or(total_blocks, |m| m.min(total_blocks)).max(
         if total_blocks == 0 { 0 } else { 1 },
     );
-    let warps_per_block = kernel.block_dim.count().div_ceil(32);
-    let local_per_thread = resources.local_per_thread;
-
     let pool = opts
         .interp_threads
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -452,35 +431,55 @@ fn interpret_launch(
         && opts.deadline.is_none()
         && opts.check_races != RaceCheckMode::Fatal;
 
-    let prog = Program::lower(&ik, &globals.scalars, grid);
+    // All name resolution happens once, here: the interpreter itself works
+    // over dense slot indices.
+    let prog = Program::lower(kernel, &globals.scalars, grid);
     let env = RunEnv {
         dev,
-        ik: &ik,
         prog: &prog,
         grid,
         sim_blocks,
-        warps_per_block,
-        local_per_thread,
+        warps_per_block: kernel.block_dim.count().div_ceil(32),
+        local_per_thread: resources.local_per_thread,
         opts,
     };
+    let mut cap = CapturedLaunch {
+        kernel_name: kernel.name.clone(),
+        grid: [grid.x, grid.y, grid.z],
+        block_dim: [kernel.block_dim.x, kernel.block_dim.y, kernel.block_dim.z],
+        total_blocks,
+        sim_blocks,
+        max_blocks: opts.max_blocks,
+        txn_bytes: dev.txn_bytes,
+        l1_line: dev.l1_line,
+        resources,
+        race_mode: opts.check_races,
+        total_steps: 0,
+        race: RaceReport::default(),
+        blocks: Vec::with_capacity(sim_blocks as usize),
+    };
     INTERPRETATIONS.fetch_add(1, Ordering::SeqCst);
-    let run = {
+    let fault = {
         let _i = np_obs::span("exec.interpret");
-        let run = if can_parallel { interpret_parallel(&env, &mut globals, pool) } else { None };
+        let run = if can_parallel {
+            interpret_parallel(&env, &mut globals, pool, &mut cap)
+        } else {
+            None
+        };
         match run {
-            Some(r) => r,
-            None => interpret_sequential(&env, &mut globals),
+            Some(fault) => fault,
+            None => interpret_sequential(&env, &mut globals, &mut cap),
         }
     };
-    if run.race.checked {
+    if cap.race.checked {
         np_obs::event(
             np_obs::Level::Debug,
             "exec.race",
             vec![
-                np_obs::kv("blocks_checked", run.race.blocks_checked),
-                np_obs::kv("accesses_checked", run.race.accesses_checked),
-                np_obs::kv("barriers_seen", run.race.barriers_seen),
-                np_obs::kv("findings", run.race.findings.len() as u64),
+                np_obs::kv("blocks_checked", cap.race.blocks_checked),
+                np_obs::kv("accesses_checked", cap.race.accesses_checked),
+                np_obs::kv("barriers_seen", cap.race.barriers_seen),
+                np_obs::kv("findings", cap.race.findings.len() as u64),
             ],
         );
     }
@@ -488,16 +487,15 @@ fn interpret_launch(
     // Return buffers even on a fault so callers keep their data (holding
     // whatever partial stores completed before the violation).
     globals.unbind(args);
-    if let Some(f) = run.fault {
-        return Err(f.into());
+    match fault {
+        Some(f) => Err(f.into()),
+        None => Ok(cap),
     }
-    Ok((run, resources, occ))
 }
 
 /// Per-launch invariants shared by both interpretation strategies.
 struct RunEnv<'a> {
     dev: &'a DeviceConfig,
-    ik: &'a InternedKernel,
     prog: &'a Program,
     grid: Dim3,
     sim_blocks: u64,
@@ -513,31 +511,19 @@ impl<'a> RunEnv<'a> {
 
     /// A worker's interpreter, reused for every block it runs.
     fn vm(&self) -> Vm<'a> {
-        Vm::new(self.prog, self.ik, self.dev, self.local_per_thread)
+        Vm::new(self.prog, self.dev, self.local_per_thread)
     }
 }
 
-/// What interpretation produces: the materialized block traces, race
-/// report, profile, interpreted step total, and the first fault (which,
-/// when present, makes the caller discard the rest). Timing is *not* here
-/// — the caller hands `traces` to the engine (or freezes them into a
-/// [`CapturedLaunch`] and replays later; both roads lead to
-/// [`simulate_blocks`]).
-struct InterpRun {
-    traces: Vec<BlockTrace>,
-    race: RaceReport,
-    profile: ProfileReport,
-    fault: Option<SimFault>,
-    steps: u64,
-}
-
 /// The classic path: one launch-scoped context, blocks interpreted in
-/// order.
-fn interpret_sequential(env: &RunEnv, globals: &mut GlobalState) -> InterpRun {
+/// order into `cap` (traces, race report and step total). Returns the
+/// first fault, which ends the run.
+fn interpret_sequential(
+    env: &RunEnv,
+    globals: &mut GlobalState,
+    cap: &mut CapturedLaunch,
+) -> Option<SimFault> {
     let opts = env.opts;
-    let mut fault: Option<SimFault> = None;
-    let mut profile = ProfileReport::default();
-    let mut traces: Vec<BlockTrace> = Vec::with_capacity(env.sim_blocks as usize);
     let recorder = match opts.check_races {
         RaceCheckMode::Off => None,
         RaceCheckMode::Record => Some((RaceRecorder::new(opts.race_options.clone()), false)),
@@ -551,21 +537,19 @@ fn interpret_sequential(env: &RunEnv, globals: &mut GlobalState) -> InterpRun {
         recorder,
     );
     let mut vm = env.vm();
+    let mut fault = None;
     for bx in 0..env.sim_blocks {
         match vm.run_block(&mut ctx, env.block_idx(bx), env.grid, bx * env.warps_per_block) {
-            Ok(trace) => {
-                profile.record_block(&trace);
-                traces.push(trace);
-            }
+            Ok(trace) => cap.blocks.push(trace),
             Err(f) => {
                 fault = Some(f);
                 break;
             }
         }
     }
-    let steps = ctx.steps();
-    let race = ctx.take_race().map(|rec| rec.finish()).unwrap_or_default();
-    InterpRun { traces, race, profile, fault, steps }
+    cap.total_steps = ctx.steps();
+    cap.race = ctx.take_race().map(|rec| rec.finish()).unwrap_or_default();
+    fault
 }
 
 /// One worker's result for one block: the trace (when the block ran to
@@ -576,14 +560,19 @@ enum Outcome {
 }
 
 /// Fan blocks out across `pool` worker threads against an immutable
-/// snapshot of `globals`, then merge in block order. Returns `None` when a
+/// snapshot of `globals`, then merge in block order into `cap` and
+/// `globals`, returning the first fault. Returns `None` when a
 /// cross-block read-after-write invalidates the snapshot run — `globals`
-/// is untouched in that case, so the caller reruns sequentially from the
-/// pristine pre-launch state.
-fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> Option<InterpRun> {
+/// and `cap` are untouched in that case, so the caller reruns sequentially
+/// from the pristine pre-launch state.
+fn interpret_parallel(
+    env: &RunEnv,
+    globals: &mut GlobalState,
+    pool: usize,
+    cap: &mut CapturedLaunch,
+) -> Option<Option<SimFault>> {
     let opts = env.opts;
-    let ik = env.ik;
-    let rw: Vec<bool> = ik.array_params.iter().map(|p| p.loaded && p.stored).collect();
+    let rw: Vec<bool> = env.prog.params.iter().map(|p| p.loaded && p.stored).collect();
     let check_races = opts.check_races == RaceCheckMode::Record;
     let sim_blocks = env.sim_blocks;
 
@@ -625,11 +614,12 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
         });
     }
 
-    // Ordered merge: each block's journal is validated, cut, and applied
-    // exactly as a sequential run would have executed it.
+    // Ordered merge: each block's journal is validated and cut exactly as
+    // a sequential run would have executed it. Nothing lands until every
+    // merged block has proved its snapshot fresh.
     let limit = opts.watchdog_steps;
-    let n_arrays = globals.buffers.len();
-    let mut written_so_far: Vec<Vec<u64>> = vec![Vec::new(); n_arrays];
+    let mut written_so_far: Vec<Vec<u64>> = vec![Vec::new(); globals.buffers.len()];
+    let mut landing: Vec<(Vec<StoreRec>, Option<u64>)> = Vec::new();
     let mut cum_steps: u64 = 0;
     let mut fault: Option<SimFault> = None;
     let mut traces: Vec<BlockTrace> = Vec::with_capacity(sim_blocks as usize);
@@ -655,15 +645,15 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
         // sequential position: the worker ran with the full budget.
         let t_avail = limit.map(|l| l.saturating_sub(cum_steps));
         if t_avail.is_some_and(|t| log.steps > t) {
-            apply_stores(globals, &log.stores, t_avail);
+            landing.push((log.stores, t_avail));
             fault = Some(SimFault::new(
-                &ik.name,
+                &env.prog.name,
                 FaultKind::Watchdog { limit: limit.expect("t_avail implies a limit") },
             ));
             break;
         }
-        apply_stores(globals, &log.stores, None);
         if let Some(f) = wfault {
+            landing.push((log.stores, None));
             fault = Some(f);
             break;
         }
@@ -673,6 +663,7 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
                 bit_set(&mut written_so_far[s.arr as usize], s.idx as usize, len);
             }
         }
+        landing.push((log.stores, None));
         traces.push(trace.expect("fault-free outcome carries a trace"));
         // The block's pcs count from its own first step; a sequential run
         // would have stamped them after every earlier block's steps.
@@ -680,12 +671,13 @@ fn interpret_parallel(env: &RunEnv, globals: &mut GlobalState, pool: usize) -> O
         cum_steps += log.steps;
     }
 
-    let mut profile = ProfileReport::default();
-    for t in &traces {
-        profile.record_block(t);
+    for (stores, cut) in &landing {
+        apply_stores(globals, stores, *cut);
     }
-
-    Some(InterpRun { traces, race, profile, fault, steps: cum_steps })
+    cap.blocks = traces;
+    cap.race = race;
+    cap.total_steps = cum_steps;
+    Some(fault)
 }
 
 /// Apply a block's journaled stores to the real buffers, optionally cut at

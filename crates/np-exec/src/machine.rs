@@ -228,9 +228,9 @@ pub(crate) struct ArrayBinding {
 ///
 /// Storage is slot-indexed, not name-keyed: scalar parameters occupy
 /// `scalars` in declaration order, array parameters occupy `buffers` /
-/// `bindings` in declaration order — the same numbering
-/// [`np_kernel_ir::slots::InternedKernel`] assigns, so the interpreter
-/// reaches every parameter by a vector index.
+/// `bindings` in declaration order — the numbering
+/// [`Program::lower`](crate::program::Program::lower) resolves parameter
+/// names to, so the interpreter reaches every parameter by a vector index.
 #[derive(Debug)]
 pub(crate) struct GlobalState {
     pub buffers: Vec<Buffer>,

@@ -5,14 +5,17 @@
 //! Paths covered: out-of-bounds reads *and* writes in global, shared and
 //! local memory; shared-memory races under the fatal race checker;
 //! barriers under divergent control flow (within a warp and across warps);
-//! undeclared scalars, including a register no lane of the warp assigned;
-//! ill-typed stores; ill-typed arithmetic and integer division by zero,
-//! which fault only when an active lane reaches them; invalid `__shfl`
-//! widths; watchdog timeouts on runaway kernels; and one seeded
-//! fault-injection run per memory space.
+//! undeclared scalars, including a register no lane of the warp assigned,
+//! and unbound arrays and scalar parameters; arrays declared in a space a
+//! body cannot declare; ill-typed stores; ill-typed arithmetic and integer
+//! division by zero, which fault only when an active lane reaches them;
+//! invalid `__shfl` widths; watchdog timeouts on runaway kernels; one
+//! seeded fault-injection run per memory space; and 3-D grids, which the
+//! launch rejects as a setup error.
 
 use np_exec::{
-    launch, Args, ExecError, FaultKind, KernelReport, RaceCheckMode, SimFault, SimOptions,
+    capture_launch, launch, Args, ExecError, FaultKind, KernelReport, RaceCheckMode, SimFault,
+    SimOptions,
 };
 use np_gpu_sim::mem::inject::{InjectConfig, InjectSpace};
 use np_gpu_sim::DeviceConfig;
@@ -262,6 +265,45 @@ fn undeclared_array() {
     let mut args = Args::new().buf_f32("out", vec![0.0; 32]);
     let f = fault_of(launch(&dev(), &k, Dim3::x1(1), &mut args, &SimOptions::full()));
     assert!(matches!(f.kind, FaultKind::UndeclaredName { ref name } if name == "ghost"));
+}
+
+#[test]
+fn unbound_scalar_parameter() {
+    let mut b = KernelBuilder::new("noparam", 32);
+    b.param_global_f32("out");
+    b.store("out", tidx(), p("phantom"));
+    let k = b.finish();
+    let mut args = Args::new().buf_f32("out", vec![0.0; 32]);
+    let f = fault_of(launch(&dev(), &k, Dim3::x1(1), &mut args, &SimOptions::full()));
+    assert_eq!(
+        f.to_string(),
+        "undeclared name in kernel \"noparam\", warp 0: \"phantom\" \
+         [parameter is not a bound scalar]"
+    );
+}
+
+/// Only shared, local and register arrays can be declared in a body. A
+/// declaration in any other space faults before the block runs anything,
+/// even when it follows the statements it would have let run.
+#[test]
+fn array_declared_in_global_space_faults_before_any_store() {
+    let mut b = KernelBuilder::new("gdecl", 32);
+    b.param_global_f32("out");
+    b.store("out", tidx(), f(1.0));
+    let mut k = b.finish();
+    k.body.push(np_kernel_ir::Stmt::DeclArray {
+        name: "g".into(),
+        ty: Scalar::F32,
+        space: MemSpace::Global,
+        len: 4,
+    });
+    let mut args = Args::new().buf_f32("out", vec![0.0; 32]);
+    let f = fault_of(launch(&dev(), &k, Dim3::x1(1), &mut args, &SimOptions::full()));
+    assert_eq!(
+        f.to_string(),
+        "invalid operation in kernel \"gdecl\": cannot declare array \"g\" in Global space"
+    );
+    assert!(args.get_f32("out").unwrap().iter().all(|&x| x == 0.0), "no store landed");
 }
 
 #[test]
@@ -543,6 +585,27 @@ fn bitflips_corrupt_silently_and_deterministically() {
         run(0xBEEF).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
         "same seed, same corruption"
     );
+}
+
+// ------------------------------------------------------ launch shape ---
+
+/// The IR has no `blockIdx.z`: a grid with more than one layer would run
+/// its upper layers with a `blockIdx.y` past `gridDim.y`, so the launch is
+/// rejected before any block runs.
+#[test]
+fn three_dimensional_grid_is_rejected() {
+    use np_kernel_ir::Special::{BlockIdxY, GridDimX};
+    let mut b = KernelBuilder::new("grid3d", 1);
+    b.param_global_i32("out");
+    b.store("out", bidx() + special(BlockIdxY) * special(GridDimX), special(BlockIdxY));
+    let k = b.finish();
+    let mut args = Args::new().buf_i32("out", vec![-1; 4]);
+    let grid = Dim3::new(2, 1, 2);
+    let err = launch(&dev(), &k, grid, &mut args, &SimOptions::full()).unwrap_err();
+    assert!(matches!(err, ExecError::Launch(ref msg) if msg.contains("blockIdx.z")), "{err}");
+    let err = capture_launch(&dev(), &k, grid, &mut args, &SimOptions::full()).unwrap_err();
+    assert!(matches!(err, ExecError::Launch(_)), "{err}");
+    assert_eq!(args.get_i32("out").unwrap(), &[-1; 4], "no block ran");
 }
 
 // ------------------------------------------------- faults are values ---

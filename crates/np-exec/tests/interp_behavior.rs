@@ -342,3 +342,46 @@ fn math_intrinsics_match_std() {
         assert!((got - expect).abs() < 1e-5, "lane {t}: {got} vs {expect}");
     }
 }
+
+/// Array names resolve to shared arrays first, then local arrays, then
+/// parameters: a shared array named like a parameter takes every load and
+/// store, and the parameter's buffer comes back untouched.
+#[test]
+fn shared_array_shadows_a_same_named_parameter() {
+    let mut b = KernelBuilder::new("shadow", 32);
+    b.param_global_f32("a");
+    b.param_global_f32("out");
+    b.shared_array("a", Scalar::F32, 32);
+    b.store("a", tidx(), cast(Scalar::F32, tidx()) * f(2.0));
+    b.store("out", tidx(), load("a", tidx()));
+    let k = b.finish();
+    let mut args = Args::new().buf_f32("a", vec![-1.0; 32]).buf_f32("out", vec![0.0; 32]);
+    run1(&k, &mut args);
+    let out = args.get_f32("out").unwrap();
+    for (t, &x) in out.iter().enumerate() {
+        assert_eq!(x, 2.0 * t as f32, "lane {t}");
+    }
+    assert!(args.get_f32("a").unwrap().iter().all(|&x| x == -1.0));
+}
+
+/// Block 1 reads an element block 0 wrote, so the parallel run saw a stale
+/// snapshot and the launch reruns sequentially. The rerun must start from
+/// the pre-launch buffers: had block 0's journal landed first, the rerun
+/// would increment its elements twice.
+#[test]
+fn stale_parallel_run_reruns_from_the_pre_launch_buffers() {
+    let mut b = KernelBuilder::new("stale", 32);
+    b.param_global_f32("a");
+    b.param_global_f32("out");
+    b.decl_i32("t", tidx() + bidx() * bdimx());
+    b.store("a", v("t"), load("a", v("t")) + f(1.0));
+    b.store("out", v("t"), load("a", i(0)));
+    let k = b.finish();
+    for threads in [1, 2] {
+        let mut args = Args::new().buf_f32("a", vec![0.0; 64]).buf_f32("out", vec![0.0; 64]);
+        let opts = SimOptions::full().with_interp_threads(Some(threads));
+        launch(&dev(), &k, Dim3::x1(2), &mut args, &opts).unwrap();
+        assert_eq!(args.get_f32("a").unwrap(), &[1.0; 64], "{threads} threads");
+        assert_eq!(args.get_f32("out").unwrap(), &[1.0; 64], "{threads} threads");
+    }
+}

@@ -2,12 +2,12 @@
 //!
 //! The simulator began life with hardcoded presets (`DeviceConfig::gtx680()`
 //! and friends). This module promotes those presets into a small device
-//! subsystem: a registry of named devices, a canonical descriptor encoding
-//! (JSON, plus a TOML reader/writer for hand-edited configs), a `validate()`
-//! pass that rejects inconsistent parameter combinations as typed errors
-//! instead of silent nonsense, and a stable FNV-1a digest of the canonical
-//! encoding so downstream artifacts (bench trajectories, serve cache keys,
-//! replay captures) can pin the exact device they were produced on.
+//! subsystem: a registry of named devices, a canonical JSON descriptor
+//! encoding, a `validate()` pass that rejects inconsistent parameter
+//! combinations as typed errors instead of silent nonsense, and a stable
+//! FNV-1a digest of the canonical encoding so downstream artifacts (bench
+//! trajectories, serve cache keys, replay captures) can pin the exact
+//! device they were produced on.
 //!
 //! The cross-device contract the rest of the stack relies on: functional
 //! output and race reports are a pure function of kernel + arguments and are
@@ -50,7 +50,7 @@ pub enum DeviceError {
     UnknownDevice { name: String },
     /// A descriptor file could not be read.
     Io { path: String, detail: String },
-    /// The descriptor text is not well-formed JSON/TOML.
+    /// The descriptor text is not well-formed JSON.
     Parse { detail: String },
     /// The descriptor declares a schema other than [`DEVICE_SCHEMA`].
     BadSchema(String),
@@ -123,15 +123,12 @@ pub fn from_name(name: &str) -> Result<DeviceConfig, DeviceError> {
 }
 
 /// Resolve a device *spec* — either a registry name (`gtx680`) or a path to
-/// a JSON/TOML descriptor file (recognised by a path separator or a
-/// `.json`/`.toml` extension). File-loaded descriptors are validated before
-/// they are returned; registry presets are valid by construction (and the
-/// test suite proves it).
+/// a JSON descriptor file (recognised by a path separator or a `.json`
+/// extension). File-loaded descriptors are validated before they are
+/// returned; registry presets are valid by construction (and the test
+/// suite proves it).
 pub fn resolve(spec: &str) -> Result<DeviceConfig, DeviceError> {
-    let looks_like_path = spec.contains('/')
-        || spec.contains('\\')
-        || spec.ends_with(".json")
-        || spec.ends_with(".toml");
+    let looks_like_path = spec.contains('/') || spec.contains('\\') || spec.ends_with(".json");
     if looks_like_path {
         load_descriptor(Path::new(spec))
     } else {
@@ -139,15 +136,13 @@ pub fn resolve(spec: &str) -> Result<DeviceConfig, DeviceError> {
     }
 }
 
-/// Load, parse and validate a descriptor file. The format is chosen by
-/// extension: `.toml` parses as TOML, anything else as JSON.
+/// Load, parse and validate a JSON descriptor file.
 pub fn load_descriptor(path: &Path) -> Result<DeviceConfig, DeviceError> {
     let text = std::fs::read_to_string(path).map_err(|e| DeviceError::Io {
         path: path.display().to_string(),
         detail: e.to_string(),
     })?;
-    let is_toml = path.extension().map(|e| e == "toml").unwrap_or(false);
-    let dev = if is_toml { parse_toml(&text) } else { parse_json(&text) }?;
+    let dev = parse_json(&text)?;
     dev.validate()?;
     Ok(dev)
 }
@@ -325,57 +320,6 @@ impl DeviceConfig {
         s
     }
 
-    /// Canonical TOML descriptor, same field order and float formatting as
-    /// [`DeviceConfig::descriptor_json`]. A starting point for hand-edited
-    /// device files.
-    pub fn descriptor_toml(&self) -> String {
-        fn nu(s: &mut String, key: &str, v: u64) {
-            s.push_str(&format!("{key} = {v}\n"));
-        }
-        let mut s = String::new();
-        s.push_str(&format!("schema = \"{DEVICE_SCHEMA}\"\n"));
-        s.push_str(&format!("name = {}\n", quote(&self.name)));
-        nu(&mut s, "num_smx", self.num_smx as u64);
-        nu(&mut s, "max_threads_per_block", self.max_threads_per_block as u64);
-        nu(&mut s, "max_threads_per_smx", self.max_threads_per_smx as u64);
-        nu(&mut s, "max_blocks_per_smx", self.max_blocks_per_smx as u64);
-        nu(&mut s, "registers_per_smx", self.registers_per_smx as u64);
-        nu(&mut s, "max_registers_per_thread", self.max_registers_per_thread as u64);
-        nu(&mut s, "register_alloc_granularity", self.register_alloc_granularity as u64);
-        nu(&mut s, "shared_mem_per_smx", self.shared_mem_per_smx as u64);
-        nu(&mut s, "shared_alloc_granularity", self.shared_alloc_granularity as u64);
-        nu(&mut s, "l1_bytes", self.l1_bytes as u64);
-        nu(&mut s, "l1_line", self.l1_line as u64);
-        nu(&mut s, "l1_assoc", self.l1_assoc as u64);
-        nu(&mut s, "tex_cache_bytes", self.tex_cache_bytes as u64);
-        nu(&mut s, "l2_bytes", self.l2_bytes as u64);
-        nu(&mut s, "l2_assoc", self.l2_assoc as u64);
-        nu(&mut s, "l2_latency", self.l2_latency as u64);
-        nu(&mut s, "mem_queue_depth", self.mem_queue_depth as u64);
-        nu(&mut s, "issue_per_cycle", self.issue_per_cycle as u64);
-        nu(&mut s, "alu_latency", self.alu_latency as u64);
-        nu(&mut s, "sfu_latency", self.sfu_latency as u64);
-        nu(&mut s, "global_latency", self.global_latency as u64);
-        nu(&mut s, "dram_bytes_per_cycle", self.dram_bytes_per_cycle as u64);
-        nu(&mut s, "txn_bytes", self.txn_bytes as u64);
-        nu(&mut s, "shared_latency", self.shared_latency as u64);
-        nu(&mut s, "shared_replay_cost", self.shared_replay_cost as u64);
-        nu(&mut s, "l1_hit_latency", self.l1_hit_latency as u64);
-        nu(&mut s, "const_latency", self.const_latency as u64);
-        nu(&mut s, "const_serialize_cost", self.const_serialize_cost as u64);
-        nu(&mut s, "shfl_latency", self.shfl_latency as u64);
-        s.push_str(&format!("supports_shfl = {}\n", self.supports_shfl));
-        nu(&mut s, "barrier_cost", self.barrier_cost as u64);
-        nu(&mut s, "block_launch_cost", self.block_launch_cost as u64);
-        s.push_str(&format!("clock_ghz = {:?}\n", self.clock_ghz));
-        s.push_str("\n[dynpar]\n");
-        s.push_str(&format!("enabled_overhead = {:?}\n", self.dynpar.enabled_overhead));
-        s.push_str(&format!("launch_overhead_cycles = {}\n", self.dynpar.launch_overhead_cycles));
-        s.push_str(&format!("launch_parallelism = {}\n", self.dynpar.launch_parallelism));
-        s.push_str(&format!("global_handoff_cycles = {}\n", self.dynpar.global_handoff_cycles));
-        s
-    }
-
     /// Stable FNV-1a digest of the canonical JSON descriptor. Two configs
     /// digest equal iff every parameter is equal; the digest is embedded in
     /// bench trajectories so a baseline diff can tell "the device changed"
@@ -400,56 +344,6 @@ pub fn parse_json(text: &str) -> Result<DeviceConfig, DeviceError> {
         Json::Obj(fields) => build(fields),
         _ => Err(perr("descriptor is not a JSON object")),
     }
-}
-
-/// Parse a TOML descriptor: `key = value` lines, `#` comments, and a single
-/// optional `[dynpar]` table. Each value is read as a JSON scalar, so TOML
-/// and JSON descriptors lower to the same [`Json`] object and share one
-/// field mapper.
-pub fn parse_toml(text: &str) -> Result<DeviceConfig, DeviceError> {
-    let mut top: Vec<(String, Json)> = Vec::new();
-    let mut dynpar: Vec<(String, Json)> = Vec::new();
-    let mut in_dynpar = false;
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_toml_comment(raw).trim();
-        let at_line = |e: String| perr(format!("line {}: {e}", lineno + 1));
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(section) = line.strip_prefix('[') {
-            let section = section
-                .strip_suffix(']')
-                .ok_or_else(|| at_line("unterminated table header".into()))?;
-            if section.trim() != "dynpar" {
-                return Err(DeviceError::UnknownField(format!("[{}]", section.trim())));
-            }
-            in_dynpar = true;
-            continue;
-        }
-        let (key, raw_val) =
-            line.split_once('=').ok_or_else(|| at_line("expected `key = value`".into()))?;
-        let val = Json::parse(raw_val.trim()).map_err(at_line)?;
-        let table = if in_dynpar { &mut dynpar } else { &mut top };
-        table.push((key.trim().to_string(), val));
-    }
-    if !dynpar.is_empty() {
-        top.push(("dynpar".to_string(), Json::Obj(dynpar)));
-    }
-    build(top)
-}
-
-fn strip_toml_comment(line: &str) -> &str {
-    let mut in_str = false;
-    let mut prev_backslash = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' if !prev_backslash => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-        prev_backslash = c == '\\' && !prev_backslash;
-    }
-    line
 }
 
 fn take(fields: &mut Vec<(String, Json)>, key: &str) -> Option<Json> {
@@ -605,24 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn toml_round_trip_matches_json_digest() {
-        for name in REGISTRY {
-            let dev = from_name(name).unwrap();
-            let back = parse_toml(&dev.descriptor_toml()).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(back.digest(), dev.digest(), "{name} TOML round trip moved the digest");
-        }
-    }
-
-    #[test]
-    fn toml_comments_and_blank_lines_are_ignored() {
-        let mut text = String::from("# hand-edited descriptor\n\n");
-        text.push_str(&DeviceConfig::gtx680().descriptor_toml());
-        text.push_str("\n# trailing note\n");
-        let dev = parse_toml(&text).unwrap();
-        assert_eq!(dev.digest(), DeviceConfig::gtx680().digest());
-    }
-
-    #[test]
     fn validation_rejects_each_inconsistency_with_the_right_error() {
         let base = DeviceConfig::gtx680;
         let cases: Vec<(DeviceConfig, DeviceError)> = vec![
@@ -700,20 +576,17 @@ mod tests {
     }
 
     #[test]
-    fn counts_must_be_integer_literals_in_both_encodings() {
+    fn counts_must_be_integer_literals() {
         let dev = DeviceConfig::gtx680();
         let json = dev.descriptor_json().replace("\"num_smx\": 8,", "\"num_smx\": 8.0,");
-        let toml = dev.descriptor_toml().replace("num_smx = 8\n", "num_smx = 8.0\n");
         let want = DeviceError::BadValue { field: "num_smx", value: "8.0".to_string() };
         assert_eq!(parse_json(&json).unwrap_err(), want);
-        assert_eq!(parse_toml(&toml).unwrap_err(), want);
     }
 
     #[test]
-    fn names_with_quotes_and_escapes_round_trip_in_both_encodings() {
+    fn names_with_quotes_and_escapes_round_trip() {
         let dev = DeviceConfig { name: "lab \"A\" gpu \\ #2\n".to_string(), ..DeviceConfig::k20c() };
         assert_eq!(parse_json(&dev.descriptor_json()).unwrap().name, dev.name);
-        assert_eq!(parse_toml(&dev.descriptor_toml()).unwrap().name, dev.name);
     }
 
     #[test]
@@ -725,10 +598,6 @@ mod tests {
         std::fs::write(&json_path, DeviceConfig::k20c().descriptor_json()).unwrap();
         let loaded = resolve(json_path.to_str().unwrap()).unwrap();
         assert_eq!(loaded.digest(), DeviceConfig::k20c().digest());
-        let toml_path = dir.join("dev.toml");
-        std::fs::write(&toml_path, DeviceConfig::small_test().descriptor_toml()).unwrap();
-        let loaded = resolve(toml_path.to_str().unwrap()).unwrap();
-        assert_eq!(loaded.digest(), DeviceConfig::small_test().digest());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property tests for the device-descriptor subsystem: every registry
 //! preset validates, randomly perturbed-but-consistent descriptors survive
-//! a JSON *and* TOML round trip byte-identically (so the content digest is
-//! stable across serialization), and each validation rule fires with its
+//! a JSON round trip byte-identically (so the content digest is stable
+//! across serialization), and each validation rule fires with its
 //! own typed error when a descriptor is mutated to violate exactly that
 //! rule.
 
-use np_gpu_sim::device::{from_name, parse_json, parse_toml};
+use np_gpu_sim::device::{from_name, parse_json};
 use np_gpu_sim::{DeviceConfig, DeviceError, REGISTRY};
 use proptest::prelude::*;
 
@@ -53,8 +53,8 @@ fn make_valid(seed: u64) -> DeviceConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Perturbed-but-consistent descriptors pass validation, and both
-    /// encodings round-trip byte-identically — which is exactly the
+    /// Perturbed-but-consistent descriptors pass validation, and the
+    /// encoding round-trips byte-identically — which is exactly the
     /// property that makes `digest()` a stable content address for the
     /// device across files, cache keys, and trajectory documents.
     #[test]
@@ -64,15 +64,8 @@ proptest! {
 
         let json = dev.descriptor_json();
         let from_json = parse_json(&json).expect("canonical JSON parses");
-        prop_assert_eq!(from_json.descriptor_json(), json.clone());
+        prop_assert_eq!(from_json.descriptor_json(), json);
         prop_assert_eq!(from_json.digest(), dev.digest());
-
-        let toml = dev.descriptor_toml();
-        let from_toml = parse_toml(&toml).expect("canonical TOML parses");
-        prop_assert_eq!(from_toml.descriptor_toml(), toml);
-        // Both encodings describe the same device: one digest.
-        prop_assert_eq!(from_toml.descriptor_json(), json);
-        prop_assert_eq!(from_toml.digest(), dev.digest());
     }
 
     /// Each validation rule rejects a descriptor mutated to violate exactly

@@ -129,11 +129,7 @@ pub fn fig10(sel: &DeviceSel, scale: Scale) -> String {
             r.speedup(),
             r.baseline.cycles,
             r.tuned.best_report.cycles,
-            match rep.np_type {
-                Some(NpType::InterWarp) => "inter",
-                Some(NpType::IntraWarp) => "intra",
-                None => "?",
-            },
+            rep.np_type.map_or("?", NpType::keyword),
             rep.slave_size,
         );
         speedups.push(r.speedup());
@@ -161,11 +157,7 @@ pub fn fig11(sel: &DeviceSel, scale: Scale) -> String {
             }
         };
         for np_type in [NpType::InterWarp, NpType::IntraWarp] {
-            let mut line = format!(
-                "{:<5} {:>10}",
-                w.name(),
-                if np_type == NpType::InterWarp { "inter" } else { "intra" }
-            );
+            let mut line = format!("{:<5} {:>10}", w.name(), np_type.keyword());
             for s in [2u32, 4, 8, 16, 32] {
                 let opts = NpOptions::new(s, np_type);
                 match run_config(w.as_ref(), &dev, &opts) {

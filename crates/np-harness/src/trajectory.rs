@@ -16,7 +16,6 @@
 use crate::runner::{gm, WorkloadOutcome};
 use cuda_np::tuner::{TuneEntry, TuneOutcome};
 use np_gpu_sim::DeviceConfig;
-use np_kernel_ir::pragma::NpType;
 use np_obs::json::{quote, Json};
 
 /// Schema tag written into every document; bump when the layout changes.
@@ -29,13 +28,6 @@ use np_obs::json::{quote, Json};
 /// only the device digest and cycle fields, so v2 baselines still gate v3
 /// documents.
 pub const SCHEMA: &str = "np-bench-trajectory-v3";
-
-fn np_type_str(t: NpType) -> &'static str {
-    match t {
-        NpType::InterWarp => "inter",
-        NpType::IntraWarp => "intra",
-    }
-}
 
 /// The tuning winner's entry, identified by the tuner's own `best_index`
 /// rather than re-deriving it from cycle counts (a skipped or later
@@ -114,7 +106,7 @@ pub fn to_json(outcomes: &[WorkloadOutcome], dev: &DeviceConfig, scale: &str) ->
         };
         speedups.push(r.speedup());
         let (np_type, slave_size) = winner_entry(o)
-            .map(|e| (np_type_str(e.np_type), e.slave_size))
+            .map(|e| (e.np_type.keyword(), e.slave_size))
             .unwrap_or(("?", 0));
         if !first {
             s.push_str(",\n");
@@ -240,6 +232,7 @@ pub fn check_against_baseline(
 mod tests {
     use super::*;
     use crate::runner::sweep;
+    use np_kernel_ir::pragma::NpType;
     use np_workloads::Scale;
 
     fn doc(workloads: &[(&str, u64, u64)]) -> String {

@@ -19,7 +19,6 @@ pub mod kernel;
 pub mod parse;
 pub mod pragma;
 pub mod printer;
-pub mod slots;
 pub mod stmt;
 pub mod types;
 

@@ -54,6 +54,16 @@ pub enum NpType {
     IntraWarp,
 }
 
+impl NpType {
+    /// The `np_type(...)` clause's word for this scheme: `inter` or `intra`.
+    pub fn keyword(self) -> &'static str {
+        match self {
+            NpType::InterWarp => "inter",
+            NpType::IntraWarp => "intra",
+        }
+    }
+}
+
 /// A parsed `np parallel for` directive.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NpPragma {
@@ -225,10 +235,7 @@ impl NpPragma {
             s.push_str(&format!(" num_threads({n})"));
         }
         if let Some(t) = self.np_type {
-            s.push_str(match t {
-                NpType::InterWarp => " np_type(inter)",
-                NpType::IntraWarp => " np_type(intra)",
-            });
+            s.push_str(&format!(" np_type({})", t.keyword()));
         }
         if let Some(v) = self.sm_version {
             s.push_str(&format!(" sm({v})"));

@@ -99,14 +99,6 @@ bench-trajectory() {
     || { echo "BENCH_results.json is not deterministic" >&2; exit 1; }
 }
 
-# Parallel-interpretation determinism: per-block worker pools must not
-# change a single output byte.
-perf-smoke() {
-  cargo test --release -q -p cuda-np --test parallel_determinism
-  cargo test --release -q -p cuda-np --test equivalence \
-    serial_and_parallel_interpretation_are_byte_identical
-}
-
 # Serve robustness gate: the suites cover shedding, deadlines, quarantine,
 # and corruption recovery in-process; here the real `npcc serve` binary
 # takes a 30-second seeded chaos soak — delays, worker panics, forced sim
@@ -225,8 +217,8 @@ perf-units() {
   [ "$failed" = 0 ] || { echo "work units differ from BENCH_workunits.txt" >&2; exit 1; }
 }
 
-sections=(core golden-check trace-replay racecheck bench-trajectory perf-smoke
-  serve-soak device-matrix obs-determinism tuner-policy perfbench perf-units)
+sections=(core golden-check trace-replay racecheck bench-trajectory serve-soak
+  device-matrix obs-determinism tuner-policy perfbench perf-units)
 if [ $# -eq 0 ]; then
   for section in "${sections[@]}"; do
     "$section"
